@@ -236,8 +236,3 @@ def decompose(alpha: IndependenceAlphabet) -> DecompositionNode:
         )
 
     return recurse(list(alpha.generators))
-
-
-def tree_generators(node: DecompositionNode) -> tuple:
-    """Flatten a decomposition tree into its covered generators (any order)."""
-    return tuple(sorted(node.generator_set()))

@@ -4,23 +4,31 @@ States are integers 0..n-1.  Plain acyclic automata forbid every cycle
 including self-loops; loop automata additionally allow at most one self-loop
 per state, which ``unroll_loops`` expands into an acyclic automaton up to a
 budget.
+
+One reachability engine, ``_reach_one``, decides membership of 1: a forward
+search over pairs (state, canonical geodesic) along power edges u^t v.
+``membership_one`` runs it on an automaton's transitions, and the knapsack
+solver runs it on the chain of an equation's rows.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import add
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .alphabet import DecompositionNode, IndependenceAlphabet
+from .alphabet import IndependenceAlphabet
 from .errors import AutomatonError, ResourceExhaustedError
 from .group import (
+    EMPTY_WORD,
     GroupWord,
     append_reduced,
     canonical_order,
     concat,
+    exponent_sums,
+    generator_index,
     is_identity,
-    is_identity_stacked,
 )
 
 Transition = Tuple[int, GroupWord, int]
@@ -135,78 +143,144 @@ def check_acyclic_loop(automaton: WordAutomaton) -> AcyclicityEvidence:
     return evidence
 
 
-def max_letters_to_final(automaton: WordAutomaton, order: Sequence[int]) -> List[int]:
-    """Per state, the largest total label length over paths to a final state;
-    -1 where no final is reachable.  One backward pass in topological order."""
-    best = [-1] * automaton.n_states
-    for q in automaton.finals:
-        best[q] = 0
-    outgoing: Dict[int, List[Tuple[int, int]]] = {q: [] for q in range(automaton.n_states)}
-    for src, label, dst in automaton.transitions:
-        outgoing[src].append((len(label), dst))
-    for q in reversed(list(order)):
-        for length, dst in outgoing[q]:
-            if best[dst] >= 0 and length + best[dst] > best[q]:
-                best[q] = length + best[dst]
-    return best
+# A power edge (src, u, b, v, dst) reads u^t v for each t in 0..b; a plain
+# transition is (src, (), 0, label, dst).
+PowerEdge = Tuple[int, GroupWord, int, GroupWord, int]
+# Abelian prune: (state, exponent sums of a prefix ending there) -> may the
+# prefix still extend to a trivial word?
+Feasible = Callable[[int, Tuple[int, ...]], bool]
+
+
+def _reach_one(
+    n_states: int,
+    initial: int,
+    finals: frozenset,
+    edges: Sequence[PowerEdge],
+    order: Sequence[int],
+    alpha: IndependenceAlphabet,
+    node_cap: int,
+    feasible: Optional[Feasible] = None,
+) -> Optional[List[Tuple[int, int]]]:
+    """Find a path from ``initial`` to a final state whose label is trivial.
+
+    Runs forward in the topological ``order`` over pairs (state, canonical
+    geodesic of the prefix read so far), deduplicated at each edge's target;
+    the power ``u`` is appended one copy at a time.  With ``feasible`` given,
+    a prefix is dropped when its geodesic is longer than every label left to
+    a final state (a geodesic of length L needs at least L further letters to
+    cancel) or when ``feasible`` rejects its exponent sums, which are checked
+    before ``v`` is appended.  Returns the witness as (edge index, t) pairs,
+    or None.  Raises ResourceExhaustedError past ``node_cap`` stored prefixes.
+    """
+    outgoing: List[List[int]] = [[] for _ in range(n_states)]
+    for idx, edge in enumerate(edges):
+        outgoing[edge[0]].append(idx)
+    # longest[q]: most letters any path from q to a final state reads; -1 if none
+    longest = [-1] * n_states
+    for q in finals:
+        longest[q] = 0
+    for q in reversed(order):
+        for idx in outgoing[q]:
+            _, u, b, v, dst = edges[idx]
+            if longest[dst] >= 0:
+                longest[q] = max(longest[q], b * len(u) + len(v) + longest[dst])
+    if longest[initial] < 0:
+        return None
+    if initial in finals:
+        return []
+
+    index = generator_index(alpha)
+    edge_sums = [(exponent_sums(u, index), exponent_sums(v, index)) for _, u, _, v, _ in edges]
+    # per state: canonical form -> (its exponent sums, form at the edge's source,
+    # edge index, t); the initial form has no source
+    parents: List[Dict[GroupWord, Tuple[Tuple[int, ...], Optional[GroupWord], int, int]]] = [
+        {} for _ in range(n_states)
+    ]
+    parents[initial][()] = ((0,) * len(index), None, -1, 0)
+    stored = 1
+
+    def witness(state: int, form: GroupWord) -> List[Tuple[int, int]]:
+        path: List[Tuple[int, int]] = []
+        _, prev, idx, t = parents[state][form]
+        while prev is not None:
+            path.append((idx, t))
+            state, form = edges[idx][0], prev
+            _, prev, idx, t = parents[state][form]
+        path.reverse()
+        return path
+
+    for q in order:
+        for form, (base, _, _, _) in parents[q].items():
+            for idx in outgoing[q]:
+                _, u, b, v, dst = edges[idx]
+                room = longest[dst]
+                if room < 0:
+                    continue
+                su, sv = edge_sums[idx]
+                sums = tuple(map(add, base, sv))
+                buf = list(form)
+                for t in range(b + 1):
+                    if t:
+                        for letter in u:
+                            append_reduced(buf, letter, alpha)
+                        sums = tuple(map(add, sums, su))
+                    if feasible is not None and not feasible(dst, sums):
+                        continue
+                    word = list(buf) if t < b else buf
+                    for letter in v:
+                        append_reduced(word, letter, alpha)
+                    if feasible is not None and len(word) > room:
+                        continue
+                    if not word and dst in finals:
+                        return witness(q, form) + [(idx, t)]
+                    nf = canonical_order(word, alpha) if word else ()
+                    if nf in parents[dst]:
+                        continue
+                    parents[dst][nf] = (sums, form, idx, t)
+                    stored += 1
+                    if stored > node_cap:
+                        raise ResourceExhaustedError(
+                            f"reachability search exceeded {node_cap} stored prefixes"
+                        )
+    return None
 
 
 def _abelian_windows(
-    automaton: WordAutomaton, alpha: IndependenceAlphabet, order: Sequence[int]
-) -> Tuple[List[Optional[List[int]]], List[Optional[List[int]]], Dict[str, int]]:
-    """Per state, a coordinatewise interval hull of the achievable suffix
-    letter-count offsets (exponent sums).  A prefix can only extend to a
-    trivial word if the negated exponent sums of its reduced form fall in the
-    hull, which prunes unbalanced branches immediately."""
-    gen_index = {g: i for i, g in enumerate(alpha.generators)}
-    m = len(gen_index)
-
-    def vector(word: GroupWord) -> List[int]:
-        vec = [0] * m
-        for gen, sign in word:
-            vec[gen_index[gen]] += sign
-        return vec
-
-    lo: List[Optional[List[int]]] = [None] * automaton.n_states
-    hi: List[Optional[List[int]]] = [None] * automaton.n_states
+    automaton: WordAutomaton, index: Dict[str, int], order: Sequence[int]
+) -> Tuple[List[Tuple[float, ...]], List[Tuple[float, ...]]]:
+    """Per state, a coordinatewise interval hull [lo, hi] of the achievable
+    suffix exponent sums; empty (lo > hi) where no final state is reachable.
+    A prefix can only extend to a trivial word if its negated exponent sums
+    fall in the hull."""
+    inf = float("inf")
+    lo = [(inf,) * len(index)] * automaton.n_states
+    hi = [(-inf,) * len(index)] * automaton.n_states
     for q in automaton.finals:
-        lo[q] = [0] * m
-        hi[q] = [0] * m
-    outgoing: Dict[int, List[Tuple[List[int], int]]] = {q: [] for q in range(automaton.n_states)}
-    for src, label, dst in automaton.transitions:
-        outgoing[src].append((vector(label), dst))
-    for q in reversed(list(order)):
-        for vec, dst in outgoing[q]:
-            if lo[dst] is None:
-                continue
-            cand_lo = [a + b for a, b in zip(vec, lo[dst])]
-            cand_hi = [a + b for a, b in zip(vec, hi[dst])]
-            if lo[q] is None:
-                lo[q] = cand_lo
-                hi[q] = cand_hi
-            else:
-                lo[q] = [min(a, b) for a, b in zip(lo[q], cand_lo)]
-                hi[q] = [max(a, b) for a, b in zip(hi[q], cand_hi)]
-    return lo, hi, gen_index
+        lo[q] = hi[q] = (0,) * len(index)
+    position = {q: i for i, q in enumerate(order)}
+    # edges in reverse topological order of their source: every edge out of
+    # dst is folded in before an edge into dst
+    for src, label, dst in sorted(automaton.transitions, key=lambda tr: -position[tr[0]]):
+        vec = exponent_sums(label, index)
+        lo[src] = tuple(min(a, b + c) for a, b, c in zip(lo[src], vec, lo[dst]))
+        hi[src] = tuple(max(a, b + c) for a, b, c in zip(hi[src], vec, hi[dst]))
+    return lo, hi
 
 
 def membership_one(
     automaton: WordAutomaton,
     alpha: IndependenceAlphabet,
-    tree: Optional[DecompositionNode] = None,
     node_cap: int = DEFAULT_NODE_CAP,
     order: Optional[Sequence[int]] = None,
     prune: bool = True,
 ) -> Optional[List[int]]:
     """Search for a path whose label concatenation is trivial in the group.
 
-    Returns the witness as a list of transition indices, or None.  The search
-    runs forward in topological order over pairs (state, canonical reduced
-    prefix), memoized on the canonical form; branches whose geodesic prefix is
-    longer than every remaining suffix are pruned (a geodesic of length L
-    needs at least L further letters to cancel).  ``order`` lets callers
-    supply an alternative topological order; ``tree``, when given, is used to
-    double-check the witness with the stacked word problem.
+    Returns the witness as a list of transition indices, or None.  Each
+    transition is one plain edge of the reachability search; with ``prune``
+    it drops prefixes that are too long for every remaining suffix or whose
+    exponent sums leave the interval hull of the suffixes' sums.  ``order``
+    lets callers supply an alternative topological order.
     """
     evidence = check_acyclic(automaton)
     if not evidence.acyclic:
@@ -219,72 +293,19 @@ def membership_one(
         for src, _, dst in automaton.transitions:
             if position[src] >= position[dst]:
                 raise AutomatonError("supplied order is not topological")
-    suffix = max_letters_to_final(automaton, topo)
-    win_lo, win_hi, gen_index = _abelian_windows(automaton, alpha, topo)
+    feasible = None
+    if prune:
+        win_lo, win_hi = _abelian_windows(automaton, generator_index(alpha), topo)
 
-    def window_ok(state: int, buf: List) -> bool:
-        lo, hi = win_lo[state], win_hi[state]
-        if lo is None:
-            return False
-        sums = [0] * len(gen_index)
-        for gen, sign in buf:
-            sums[gen_index[gen]] += sign
-        return all(l <= -s <= h for s, l, h in zip(sums, lo, hi))
+        def feasible(state: int, sums: Tuple[int, ...]) -> bool:
+            return all(l <= -s <= h for s, l, h in zip(sums, win_lo[state], win_hi[state]))
 
-    outgoing: Dict[int, List[Tuple[int, GroupWord, int]]] = {q: [] for q in range(automaton.n_states)}
-    for idx, (src, label, dst) in enumerate(automaton.transitions):
-        outgoing[src].append((idx, label, dst))
-
-    parents: Dict[Tuple[int, GroupWord], Optional[Tuple[int, GroupWord, int]]] = {}
-    forms: Dict[int, List[GroupWord]] = {q: [] for q in range(automaton.n_states)}
-
-    def witness(state: int, form: GroupWord) -> List[int]:
-        path: List[int] = []
-        key = (state, form)
-        while parents[key] is not None:
-            prev_state, prev_form, idx = parents[key]
-            path.append(idx)
-            key = (prev_state, prev_form)
-        path.reverse()
-        if tree is not None:
-            label = concat(*(automaton.transitions[i][1] for i in path))
-            assert is_identity_stacked(label, tree)
-        return path
-
-    start = (automaton.initial, ())
-    if suffix[automaton.initial] < 0:
-        return None
-    if prune and not window_ok(automaton.initial, []):
-        return None
-    parents[start] = None
-    forms[automaton.initial].append(())
-    if automaton.initial in automaton.finals:
-        return witness(automaton.initial, ())
-    inserted = 1
-    for q in topo:
-        for form in forms[q]:
-            for idx, label, dst in outgoing[q]:
-                if suffix[dst] < 0:
-                    continue
-                buf = list(form)
-                for letter in label:
-                    append_reduced(buf, letter, alpha)
-                if prune and (len(buf) > suffix[dst] or not window_ok(dst, buf)):
-                    continue
-                nf = canonical_order(buf, alpha)
-                key = (dst, nf)
-                if key in parents:
-                    continue
-                parents[key] = (q, form, idx)
-                forms[dst].append(nf)
-                inserted += 1
-                if inserted > node_cap:
-                    raise ResourceExhaustedError(
-                        f"membership search exceeded {node_cap} memoized states"
-                    )
-                if dst in automaton.finals and not nf:
-                    return witness(dst, nf)
-    return None
+    edges = [(src, EMPTY_WORD, 0, label, dst) for src, label, dst in automaton.transitions]
+    path = _reach_one(
+        automaton.n_states, automaton.initial, automaton.finals, edges, topo, alpha,
+        node_cap, feasible,
+    )
+    return None if path is None else [idx for idx, _ in path]
 
 
 def membership_one_brute(

@@ -23,12 +23,14 @@ from .group import (
     GroupWord,
     concat,
     is_identity,
+    split_for_alphabet,
     syllables,
 )
 from .knapsack import (
     DEFAULT_LIMITS,
     ExponentEquation,
     SolverLimits,
+    _q_poly,
     preprocess,
     verify_solution,
 )
@@ -73,17 +75,6 @@ class BlockSequence:
         return rng is not None and rng[0] <= index <= rng[1]
 
 
-def split_for_alphabet(alpha, node: Optional[DecompositionNode] = None) -> FreeProductSplit:
-    """Binary split of a disconnected alphabet: first component vs the rest."""
-    if node is None:
-        node = decompose(alpha)
-    if not isinstance(node, FreeProduct):
-        raise EquationError("alphabet is connected; no free-product split exists")
-    left = frozenset(node.children[0].generator_set())
-    right = frozenset(alpha.generators) - left
-    return FreeProductSplit(left, right)
-
-
 def _check_preprocessed(eq: ExponentEquation, split: FreeProductSplit) -> None:
     for cycle in eq.cycles:
         if not cycle:
@@ -101,10 +92,6 @@ def _check_preprocessed(eq: ExponentEquation, split: FreeProductSplit) -> None:
 
 def syllable_counts(eq: ExponentEquation, split: FreeProductSplit) -> List[int]:
     return [len(syllables(c, split)) for c in eq.cycles]
-
-
-def is_mixed_cycle(eq: ExponentEquation, split: FreeProductSplit, i: int) -> bool:
-    return len(syllables(eq.cycles[i], split)) > 1
 
 
 def block_factorize(
@@ -394,16 +381,10 @@ def grow(
     return grown, frozenset(new_edges)
 
 
-def mixed_norm(eq: ExponentEquation, exponents: Sequence[int], split: FreeProductSplit) -> int:
-    counts = syllable_counts(eq, split)
-    return max((exponents[i] for i in range(eq.k) if counts[i] > 1), default=0)
-
-
 def removal_threshold(eq: ExponentEquation) -> int:
     """q(n) = (n + 3k + 1) + k n^2: above this mixed norm a period always
     shrinks out of a certified solution."""
-    n, k = eq.size, eq.k
-    return (n + 3 * k + 1) + k * n * n
+    return _q_poly(eq.size, eq.k)
 
 
 def shrink(

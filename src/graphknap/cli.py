@@ -51,6 +51,13 @@ def _parse_word_flag(text: str, alpha):
     return jsonio.word_from_json(items, alpha)
 
 
+def _natural(text: str) -> int:
+    """argparse type of the nonnegative integer flags."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="graphknap", description=__doc__)
     parser.add_argument("--seed", type=int, default=None, help="echoed in the output")
@@ -78,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an exponent equation instance")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--mode", choices=["knapsack", "subsetsum", "integer"], default=None)
-    p.add_argument("--ceiling", type=int, default=None, help="search budget ceiling")
+    p.add_argument("--ceiling", type=_natural, default=None, help="search budget ceiling")
 
     p = sub.add_parser("bound", help="tameness bound report")
     p.add_argument("-i", "--input", required=True)
@@ -89,14 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = automaton.add_parser("member", help="is some accepted word trivial in the group")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--alphabet", required=True)
-    p.add_argument("--budget", type=int, default=None, help="per-loop unrolling budget")
+    p.add_argument("--budget", type=_natural, default=None, help="per-loop unrolling budget")
 
     oracle = sub.add_parser("oracle", help="brute-force oracles").add_subparsers(
         dest="oracle_command", required=True
     )
     p = oracle.add_parser("brute", help="all bounded solutions by enumeration")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=_natural, required=True)
 
     gen = sub.add_parser("gen", help="hardness-instance generators").add_subparsers(
         dest="gen_command", required=True

@@ -354,8 +354,7 @@ def acyclic_automaton_to_knapsack_f2(automaton: WordAutomaton) -> GadgetInstance
             out.append(image if sign == 1 else invert_word(image))
         return concat(*out)
 
-    position = {q: i for i, q in enumerate(evidence.order)}
-    ordered = sorted(automaton.transitions, key=lambda t: (position[t[0]], position[t[2]]))
+    ordered = _ordered_transitions(automaton)
     cycles = []
     provenance = []
     for src, label, dst in ordered:

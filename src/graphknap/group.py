@@ -11,10 +11,10 @@ exhaustively in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .alphabet import DecompositionNode, DirectZ, FreeProduct, IndependenceAlphabet, Trivial
-from .errors import CancellationError, WordError
+from .alphabet import DecompositionNode, DirectZ, FreeProduct, IndependenceAlphabet, Trivial, decompose
+from .errors import CancellationError, EquationError, WordError
 from .trace import step_sequence
 
 SignedLetter = Tuple[str, int]
@@ -64,6 +64,23 @@ def word_power(word: GroupWord, exponent: int) -> GroupWord:
     if exponent < 0:
         return invert_word(word) * (-exponent)
     return word * exponent
+
+
+def generator_index(alpha: IndependenceAlphabet) -> Dict[str, int]:
+    """Coordinate of each generator in exponent-sum vectors."""
+    return {g: i for i, g in enumerate(alpha.generators)}
+
+
+def exponent_sums(word: Sequence[SignedLetter], index: Mapping[str, int]) -> Tuple[int, ...]:
+    """Image of the word in the abelianization: per generator coordinate of
+    ``index``, the signed count of its letters.  Generators outside ``index``
+    are ignored."""
+    vec = [0] * len(index)
+    for gen, sign in word:
+        i = index.get(gen)
+        if i is not None:
+            vec[i] += sign
+    return tuple(vec)
 
 
 def _check_letters(word: Sequence[SignedLetter], alpha: IndependenceAlphabet) -> None:
@@ -260,6 +277,18 @@ class FreeProductSplit:
         return self.factor(word[0][0])
 
 
+def split_for_alphabet(
+    alpha: IndependenceAlphabet, node: Optional[DecompositionNode] = None
+) -> FreeProductSplit:
+    """Binary split of a disconnected alphabet: first component vs the rest."""
+    if node is None:
+        node = decompose(alpha)
+    if not isinstance(node, FreeProduct):
+        raise EquationError("alphabet is connected; no free-product split exists")
+    left = frozenset(node.children[0].generator_set())
+    return FreeProductSplit(left, frozenset(alpha.generators) - left)
+
+
 def syllables(word: Sequence[SignedLetter], split: FreeProductSplit) -> List[GroupWord]:
     """Maximal same-factor segments; concatenation restores the word."""
     out: List[GroupWord] = []
@@ -275,10 +304,6 @@ def syllables(word: Sequence[SignedLetter], split: FreeProductSplit) -> List[Gro
     if current:
         out.append(tuple(current))
     return out
-
-
-def syllable_count(word: Sequence[SignedLetter], split: FreeProductSplit) -> int:
-    return len(syllables(word, split))
 
 
 def cyclically_reduce(

@@ -29,9 +29,11 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _require(doc: dict, key: str):
+def _require(doc: dict, key: str, kind: type = object):
     if key not in doc:
         raise JsonFormatError(f"missing key {key!r}")
+    if not isinstance(doc[key], kind):
+        raise JsonFormatError(f"{key!r} must be a {kind.__name__}, got {doc[key]!r}")
     return doc[key]
 
 
@@ -114,9 +116,9 @@ def instance_from_json(doc: dict) -> ExponentEquation:
     if not isinstance(doc, dict):
         raise JsonFormatError("instance document must be an object")
     alpha = alphabet_from_json(_require(doc, "alphabet"))
-    constants = tuple(word_from_json(w, alpha) for w in _require(doc, "constants"))
-    cycles = tuple(word_from_json(w, alpha) for w in _require(doc, "cycles"))
-    variables = _require(doc, "variables")
+    constants = tuple(word_from_json(w, alpha) for w in _require(doc, "constants", list))
+    cycles = tuple(word_from_json(w, alpha) for w in _require(doc, "cycles", list))
+    variables = _require(doc, "variables", list)
     if not all(isinstance(v, str) for v in variables):
         raise JsonFormatError("variables must be strings")
     return ExponentEquation(

@@ -4,20 +4,26 @@ An exponent equation is h0 g1^x1 h1 ... gk^xk hk = 1 with exponents over N.
 Solving dispatches on the alphabet class: complete graphs go through
 abelianization and hyperplane decompositions (exact); non-complete transitive
 forests get an exact sweep up to the magnitude bound of their class when that
-bound is small enough (the acyclic-automaton reduction evaluated row by row),
-otherwise iterative deepening; general alphabets get search only, so
-"unsolvable" is never claimed without a completeness certificate.
+bound is small enough, otherwise iterative deepening; general alphabets get
+search only, so "unsolvable" is never claimed without a completeness
+certificate.
+
+Every bounded decision (the sweep, each deepening step, ``solve_within_bounds``)
+is membership of 1 in the chain automaton v0, then one power edge u_i^t v_i
+(t <= b_i) per cycle, decided by the reachability engine in ``automata`` with
+exact bounded abelian feasibility as its prune.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from operator import sub
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .alphabet import (
     COMPLETE,
-    GENERAL,
+    TRANSITIVE_FOREST_NOT_COMPLETE,
     DecompositionNode,
     DirectZ,
     FreeProduct,
@@ -26,19 +32,20 @@ from .alphabet import (
     classify,
     decompose,
 )
-from .automata import WordAutomaton
+from .automata import WordAutomaton, _reach_one
 from .errors import EquationError, ResourceExhaustedError
 from .group import (
     EMPTY_WORD,
     FreeProductSplit,
     GroupWord,
-    append_reduced,
-    canonical_order,
     concat,
     cyclically_reduce,
+    exponent_sums,
+    generator_index,
     invert_word,
     is_identity,
     reduce_word,
+    split_for_alphabet,
     word_power,
 )
 from .semilinear import (
@@ -227,13 +234,22 @@ def tameness_bound(eq: ExponentEquation, tree: Optional[DecompositionNode] = Non
 
 def knapsack_to_automaton(eq: ExponentEquation, bound: Union[int, Sequence[int]]) -> WordAutomaton:
     """Acyclic automaton accepting exactly the substituted words with every
-    exponent at most the bound (uniform or per cycle).
+    exponent at most the bound (uniform or per cycle); membership of a trivial
+    word is equivalent to solvability within the bound.
 
-    Uniform bounds use the full (k+2) x (bound+1) state grid; membership of a
-    trivial word is equivalent to solvability within the bound.
+    States form one chain: v0, then per cycle i a run of b_i steps each
+    reading u_i or the empty word, then v_i.
     """
     automaton, _ = _knapsack_automaton_with_roles(eq, bound)
     return automaton
+
+
+def _bound_list(eq: ExponentEquation, bound: Union[int, Sequence[int]]) -> List[int]:
+    """One exponent bound per cycle from a uniform or per-cycle bound."""
+    bounds = [bound] * eq.k if isinstance(bound, int) else [int(b) for b in bound]
+    if len(bounds) != eq.k or any(b < 0 for b in bounds):
+        raise EquationError(f"bad exponent bound {bound!r}")
+    return bounds
 
 
 def _knapsack_automaton_with_roles(
@@ -241,61 +257,21 @@ def _knapsack_automaton_with_roles(
 ) -> Tuple[WordAutomaton, List[Tuple[str, int]]]:
     if not eq.knapsack_shape:
         raise EquationError("automaton reduction needs pairwise distinct variables")
-    k = eq.k
-    uniform = isinstance(bound, int)
-    bounds = [bound] * k if uniform else [int(b) for b in bound]
-    if len(bounds) != k or any(b < 0 for b in bounds):
-        raise EquationError(f"bad exponent bound {bound!r}")
-
-    transitions: List[Tuple[int, GroupWord, int]] = []
-    roles: List[Tuple[str, int]] = []
-
-    if uniform:
-        b = bounds[0] if k else 0
-        width = b + 1
-
-        def state(i: int, j: int) -> int:
-            return i * width + j
-
-        n_states = (k + 2) * width
-        transitions.append((state(0, 0), eq.constants[0], state(1, 0)))
-        roles.append(("v", 0))
-        for i in range(1, k + 1):
-            for j in range(b):
-                transitions.append((state(i, j), eq.cycles[i - 1], state(i, j + 1)))
-                roles.append(("u", i - 1))
-                transitions.append((state(i, j), EMPTY_WORD, state(i, j + 1)))
-                roles.append(("eps", i - 1))
-            transitions.append((state(i, b), eq.constants[i], state(i + 1, 0)))
-            roles.append(("v", i))
-        initial = state(0, 0)
-        final = state(k + 1, 0)
-    else:
-        counter = itertools.count()
-        start = next(counter)
-        current = next(counter)
-        transitions.append((start, eq.constants[0], current))
-        roles.append(("v", 0))
-        for i in range(1, k + 1):
-            for _ in range(bounds[i - 1]):
-                nxt = next(counter)
-                transitions.append((current, eq.cycles[i - 1], nxt))
-                roles.append(("u", i - 1))
-                transitions.append((current, EMPTY_WORD, nxt))
-                roles.append(("eps", i - 1))
-                current = nxt
-            nxt = next(counter)
-            transitions.append((current, eq.constants[i], nxt))
-            roles.append(("v", i))
-            current = nxt
-        initial = start
-        final = current
-        n_states = next(counter)
-
+    transitions: List[Tuple[int, GroupWord, int]] = [(0, eq.constants[0], 1)]
+    roles: List[Tuple[str, int]] = [("v", 0)]
+    current = 1
+    for i, b in enumerate(_bound_list(eq, bound)):
+        for _ in range(b):
+            transitions += [(current, eq.cycles[i], current + 1), (current, EMPTY_WORD, current + 1)]
+            roles += [("u", i), ("eps", i)]
+            current += 1
+        transitions.append((current, eq.constants[i + 1], current + 1))
+        roles.append(("v", i + 1))
+        current += 1
     automaton = WordAutomaton(
-        n_states=n_states,
-        initial=initial,
-        finals=frozenset({final}),
+        n_states=current + 1,
+        initial=0,
+        finals=frozenset({current}),
         transitions=tuple(transitions),
     )
     return automaton, roles
@@ -353,12 +329,17 @@ def brute_force_solutions(
         raise ResourceExhaustedError(
             f"brute-force sweep of ({bound}+1)^{r} assignments exceeds the cap"
         )
-    out = []
-    for combo in itertools.product(range(bound + 1), repeat=r):
+    return [_full_assignment(eq, found) for found in _sweep(eq, bound)]
+
+
+def _sweep(eq: ExponentEquation, budget: int) -> Iterator[Dict[str, int]]:
+    """Every solution with all exponents <= budget, as an assignment of the
+    distinct variable names, in lexicographic order."""
+    names = eq.distinct_names
+    for combo in itertools.product(range(budget + 1), repeat=len(names)):
         assignment = dict(zip(names, combo))
         if verify_solution(eq, assignment):
-            out.append(_full_assignment(eq, assignment))
-    return out
+            yield assignment
 
 
 # -- the solver -------------------------------------------------------------------
@@ -367,29 +348,12 @@ def brute_force_solutions(
 def _abelianize(eq: ExponentEquation) -> Tuple[List[Tuple[int, ...]], Tuple[int, ...]]:
     """Per distinct variable the exponent-sum column of its cycles, plus the
     right-hand side -sum over constants."""
-    gens = eq.alphabet.generators
-    gen_index = {g: i for i, g in enumerate(gens)}
-    m = len(gens)
-
-    def exponent_vector(word: GroupWord) -> List[int]:
-        vec = [0] * m
-        for gen, sign in word:
-            vec[gen_index[gen]] += sign
-        return vec
-
-    names = eq.distinct_names
-    columns = {name: [0] * m for name in names}
-    for i, cycle in enumerate(eq.cycles):
-        vec = exponent_vector(cycle)
-        col = columns[eq.variables[i]]
-        for j in range(m):
-            col[j] += vec[j]
-    rhs = [0] * m
-    for word in eq.constants:
-        vec = exponent_vector(word)
-        for j in range(m):
-            rhs[j] -= vec[j]
-    return [tuple(columns[name]) for name in names], tuple(rhs)
+    index = generator_index(eq.alphabet)
+    columns = [
+        exponent_sums(concat(*(c for c, v in zip(eq.cycles, eq.variables) if v == name)), index)
+        for name in eq.distinct_names
+    ]
+    return columns, tuple(-s for s in exponent_sums(concat(*eq.constants), index))
 
 
 def _papadimitriou_bound(columns, rhs, m: int) -> int:
@@ -456,15 +420,6 @@ def _solve_complete(eq: ExponentEquation, limits: SolverLimits) -> SolveOutcome:
                         bound_provenance="abelianization", method="abelian")
 
 
-def _sweep(eq: ExponentEquation, budget: int) -> Optional[Dict[str, int]]:
-    names = eq.distinct_names
-    for combo in itertools.product(range(budget + 1), repeat=len(names)):
-        assignment = dict(zip(names, combo))
-        if verify_solution(eq, assignment):
-            return assignment
-    return None
-
-
 def _abelian_feasible(target: Tuple[int, ...], zs: List[Tuple[int, ...]], bound: int) -> bool:
     """Exact test for: some t in [0, bound]^r has sum_j t_j z_j == target."""
     r = len(zs)
@@ -511,102 +466,37 @@ def _decide_bounded_chain(
     """Exact decision of solvability with every exponent <= its bound
     (uniform integer or one bound per cycle).
 
-    Sweeps the equation row by row (one row per cycle), keeping the set of
-    canonical reduced prefixes reachable after each row.  Deduplicating on the
-    group element collapses the exponent counter; prefixes are dropped when
-    their geodesic is longer than every possible suffix or when the remaining
-    rows cannot repair their exponent sums (exact bounded feasibility over the
-    abelianization).  Raises ResourceExhaustedError past the node cap.
+    Runs the reachability search on the chain v0, then one power edge
+    u_i^t v_i (t <= b_i) per cycle.  Deduplicating on the group element
+    collapses the exponent counter; a prefix is also dropped when the
+    remaining rows cannot repair its exponent sums (exact bounded feasibility
+    over the abelianization).  Raises ResourceExhaustedError past the node cap.
     """
-    alpha = eq.alphabet
-    gens = alpha.generators
-    gen_index = {g: i for i, g in enumerate(gens)}
-    m = len(gens)
+    bounds = _bound_list(eq, bound)
     k = eq.k
-    bounds = [bound] * k if isinstance(bound, int) else [int(b) for b in bound]
-    if len(bounds) != k or any(b < 0 for b in bounds):
-        raise EquationError(f"bad exponent bound {bound!r}")
-    max_bound = max(bounds, default=0)
+    index = generator_index(eq.alphabet)
+    z = [exponent_sums(cycle, index) for cycle in eq.cycles]
+    # after row j (state j + 1), u_{j+1}^x v_{j+1} ... u_k^x v_k must cancel the
+    # prefix: the negated sums of v_{j+1} .. v_k, the cycles left, their largest bound
+    rest = [
+        (tuple(-s for s in exponent_sums(concat(*eq.constants[j + 1:]), index)), z[j:],
+         max(bounds[j:], default=0))
+        for j in range(k + 1)
+    ]
 
-    def ab(word: GroupWord) -> Tuple[int, ...]:
-        vec = [0] * m
-        for gen, sign in word:
-            vec[gen_index[gen]] += sign
-        return tuple(vec)
+    def feasible(state: int, sums: Tuple[int, ...]) -> bool:
+        neg_rest, zs, rest_bound = rest[state - 1]
+        return _abelian_feasible(tuple(map(sub, neg_rest, sums)), zs, rest_bound)
 
-    z = [ab(cycle) for cycle in eq.cycles]
-    ab_const = [ab(word) for word in eq.constants]
-    # rest_const[i] = exponent sums of v_{i+1} .. v_k
-    rest_const = [(0,) * m] * (k + 1)
-    acc = (0,) * m
-    for i in range(k, 0, -1):
-        acc = tuple(a + b for a, b in zip(acc, ab_const[i]))
-        rest_const[i - 1] = acc
-    # suffix_letters[i] = most letters any completion after row i can still use
-    suffix_letters = [0] * (k + 1)
-    for i in range(k, 0, -1):
-        suffix_letters[i - 1] = (
-            suffix_letters[i] + bounds[i - 1] * len(eq.cycles[i - 1]) + len(eq.constants[i])
-        )
-
-    start = reduce_word(eq.constants[0], alpha)
-    if k == 0:
-        return {} if not start else None
-    if len(start) > suffix_letters[0]:
+    edges = [(0, EMPTY_WORD, 0, eq.constants[0], 1)] + [
+        (i + 1, eq.cycles[i], bounds[i], eq.constants[i + 1], i + 2) for i in range(k)
+    ]
+    path = _reach_one(
+        k + 2, 0, frozenset({k + 1}), edges, range(k + 2), eq.alphabet, limits.node_cap, feasible
+    )
+    if path is None:
         return None
-    target0 = tuple(-(a + b) for a, b in zip(ab(start), rest_const[0]))
-    if not _abelian_feasible(target0, z, max_bound):
-        return None
-
-    frontier: Dict[GroupWord, Tuple[Optional[GroupWord], int]] = {start: (None, 0)}
-    rows: List[Dict[GroupWord, Tuple[Optional[GroupWord], int]]] = [frontier]
-    stored = 1
-    for i in range(1, k + 1):
-        cycle = eq.cycles[i - 1]
-        tail = eq.constants[i]
-        zs_rest = z[i:]
-        rest_bound = max(bounds[i:], default=0)
-        nxt: Dict[GroupWord, Tuple[GroupWord, int]] = {}
-        for prefix in rows[i - 1]:
-            buf = list(prefix)
-            ab_base = ab(prefix)
-            for t in range(bounds[i - 1] + 1):
-                if t > 0:
-                    for letter in cycle:
-                        append_reduced(buf, letter, alpha)
-                sums = tuple(
-                    a + t * b + c + d
-                    for a, b, c, d in zip(ab_base, z[i - 1], ab_const[i], rest_const[i])
-                )
-                if not _abelian_feasible(tuple(-s for s in sums), zs_rest, rest_bound):
-                    continue
-                word = list(buf)
-                for letter in tail:
-                    append_reduced(word, letter, alpha)
-                if len(word) > suffix_letters[i]:
-                    continue
-                if i == k:
-                    if not word:
-                        assignment = {eq.variables[i - 1]: t}
-                        key = prefix
-                        for row in range(i - 1, 0, -1):
-                            prev, used = rows[row][key]
-                            assignment[eq.variables[row - 1]] = used
-                            key = prev
-                        return assignment
-                    continue
-                nf = canonical_order(word, alpha)
-                if nf not in nxt:
-                    nxt[nf] = (prefix, t)
-                    stored += 1
-                    if stored > limits.node_cap:
-                        raise ResourceExhaustedError(
-                            f"bounded chain sweep exceeded {limits.node_cap} stored prefixes"
-                        )
-        if i < k and not nxt:
-            return None
-        rows.append(nxt)
-    return None
+    return {eq.variables[idx - 1]: t for idx, t in path if idx}
 
 
 def solve_within_bounds(
@@ -651,7 +541,7 @@ def _solve_by_search(
         else:
             if (budget + 1) ** r > limits.enumeration_cap:
                 return SolveOutcome(UNKNOWN, budget=last_complete, method=method)
-            found = _sweep(eq, budget)
+            found = next(_sweep(eq, budget), None)
         if found is not None:
             assignment = _full_assignment(eq, found)
             assert verify_solution(eq, assignment)
@@ -673,11 +563,7 @@ def _solve_by_search(
 
 def _solve_transitive_forest(eq: ExponentEquation, limits: SolverLimits) -> SolveOutcome:
     tree = decompose(eq.alphabet)
-    split = None
-    if isinstance(tree, FreeProduct):
-        left = frozenset(tree.children[0].generator_set())
-        right = frozenset(eq.alphabet.generators) - left
-        split = FreeProductSplit(left, right)
+    split = split_for_alphabet(eq.alphabet, tree) if isinstance(tree, FreeProduct) else None
     eq2 = preprocess(eq, split)
     if _abelian_solution_set(eq2).is_empty():
         return SolveOutcome(
@@ -711,19 +597,20 @@ def solve(eq: ExponentEquation, limits: SolverLimits = DEFAULT_LIMITS) -> SolveO
     """Decide solvability over N. Every Solvable outcome carries a verified
     assignment; Unsolvable is only reported with a completeness certificate."""
     graph_class = classify(eq.alphabet)
+    if graph_class.kind == TRANSITIVE_FOREST_NOT_COMPLETE:
+        return _solve_transitive_forest(eq, limits)
     eq2 = preprocess(eq)
     if graph_class.kind == COMPLETE:
         return _solve_complete(eq2, limits)
-    if graph_class.kind == GENERAL:
-        if not eq2.cycles:
-            if is_identity(eq2.constants[0], eq2.alphabet):
-                return SolveOutcome(SOLVABLE, assignment=_full_assignment(eq2, {}),
-                                    bound=0, bound_provenance="no variables", method="search")
-            return SolveOutcome(UNSOLVABLE, bound=0,
-                                bound_provenance="no variables: constant part is nontrivial",
-                                method="search")
-        return _solve_by_search(eq2, limits, None, method="search")
-    return _solve_transitive_forest(eq, limits)
+    # general alphabet: search only
+    if not eq2.cycles:
+        if is_identity(eq2.constants[0], eq2.alphabet):
+            return SolveOutcome(SOLVABLE, assignment=_full_assignment(eq2, {}),
+                                bound=0, bound_provenance="no variables", method="search")
+        return SolveOutcome(UNSOLVABLE, bound=0,
+                            bound_provenance="no variables: constant part is nontrivial",
+                            method="search")
+    return _solve_by_search(eq2, limits, None, method="search")
 
 
 def solve_subset_sum(eq: ExponentEquation, limits: SolverLimits = DEFAULT_LIMITS) -> SolveOutcome:
@@ -733,13 +620,12 @@ def solve_subset_sum(eq: ExponentEquation, limits: SolverLimits = DEFAULT_LIMITS
         raise ResourceExhaustedError(
             f"{len(names)} binary variables exceed the subset-sum cap"
         )
-    for combo in itertools.product((0, 1), repeat=len(names)):
-        assignment = dict(zip(names, combo))
-        if verify_solution(eq, assignment):
-            return SolveOutcome(
-                SOLVABLE, assignment=_full_assignment(eq, assignment),
-                bound=1, bound_provenance="exhaustive binary sweep", method="subsetsum",
-            )
+    found = next(_sweep(eq, 1), None)
+    if found is not None:
+        return SolveOutcome(
+            SOLVABLE, assignment=_full_assignment(eq, found),
+            bound=1, bound_provenance="exhaustive binary sweep", method="subsetsum",
+        )
     return SolveOutcome(UNSOLVABLE, bound=1,
                         bound_provenance="exhaustive binary sweep", method="subsetsum")
 
@@ -860,13 +746,9 @@ def _solution_set_node(
         raise EquationError("nontrivial cycle over the trivial group")
 
     if isinstance(node, DirectZ):
-        apex = node.apex
-
-        def apex_sum(word: GroupWord) -> int:
-            return sum(sign for gen, sign in word if gen == apex)
-
-        z = tuple(apex_sum(c) for c in reduced.cycles)
-        y = -sum(apex_sum(c) for c in reduced.constants)
+        apex = {node.apex: 0}
+        z = tuple(exponent_sums(c, apex)[0] for c in reduced.cycles)
+        y = -exponent_sums(concat(*reduced.constants), apex)[0]
         if isinstance(node.child, Trivial):
             core = decompose_hyperplane_solutions(z, y)
         else:
@@ -886,24 +768,16 @@ def _solution_set_node(
     # free product: assemble from local covers over bounded base solutions
     from .cancellation import local_semilinear_cover
 
-    left = frozenset(node.children[0].generator_set())
-    right = frozenset().union(*(c.generator_set() for c in node.children[1:]))
-    split = FreeProductSplit(left, right)
-    prepared = preprocess(reduced, split)
+    prepared = preprocess(reduced, split_for_alphabet(alpha, node))
     bound = tameness_bound(prepared, node).value
     if bound > limits.cover_base_cap:
         raise ResourceExhaustedError(
             f"free-product solution-set enumeration bound {bound} exceeds the cap"
         )
-    names = prepared.distinct_names
-    r = len(names)
-    if (bound + 1) ** r > limits.enumeration_cap:
+    if (bound + 1) ** len(prepared.distinct_names) > limits.enumeration_cap:
         raise ResourceExhaustedError("free-product solution-set enumeration too large")
     components: List[LinearSet] = []
-    for combo in itertools.product(range(bound + 1), repeat=r):
-        assignment = dict(zip(names, combo))
-        if not verify_solution(prepared, assignment):
-            continue
+    for assignment in _sweep(prepared, bound):
         vector = tuple(assignment[name] for name in prepared.variables)
         cover = local_semilinear_cover(prepared, vector, node=node, limits=limits)
         components.extend(cover.components)

@@ -478,7 +478,9 @@ def test_criterion_7_automaton_round_trip():
             bound = rng.randint(0, 8)
             automaton = knapsack_to_automaton(eq, bound)
             member = membership_one(automaton, alpha) is not None
-            assert member == bool(brute_force_solutions(eq, bound)), (eq, bound)
+            expected = bool(brute_force_solutions(eq, bound))
+            assert member == expected, (eq, bound)
+            assert (solve_within_bounds(eq, bound) is not None) == expected, (eq, bound)
             trips += 1
     assert trips >= 150
     print(f"\nACCEPTANCE 7 PASS: {trips} automaton round trips agree with brute force")

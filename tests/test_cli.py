@@ -186,6 +186,32 @@ def test_input_error_exit_one(capsys, tmp_path):
     assert run(["classify", "-i", str(bad)]) == 1
 
 
+def _rejected(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "nonnegative" in captured.err and "Traceback" not in captured.err
+
+
+def test_solve_rejects_negative_ceiling(capsys, instance_file):
+    _rejected(capsys, ["solve", "-i", instance_file, "--ceiling", "-5"])
+
+
+def test_oracle_rejects_negative_bound(capsys, instance_file):
+    _rejected(capsys, ["oracle", "brute", "-i", instance_file, "--bound", "-1"])
+
+
+def test_automaton_member_rejects_negative_budget(capsys, tmp_path, f2_file):
+    path = tmp_path / "aut.json"
+    path.write_text(json.dumps({
+        "states": 2, "initial": 0, "finals": [1],
+        "transitions": [{"from": 0, "to": 1, "label": ["a", "a^-1"]}],
+    }))
+    _rejected(capsys, ["automaton", "member", "-i", str(path), "--alphabet", f2_file,
+                       "--budget", "-1"])
+
+
 def test_output_file_written(capsys, tmp_path, f2_file):
     out = tmp_path / "out.json"
     code, payload = _run(capsys, ["-o", str(out), "classify", "-i", f2_file])

@@ -83,6 +83,19 @@ def test_instance_rejects_bad_shapes():
         instance_from_json({"alphabet": {"generators": ["a"], "edges": []}})
 
 
+@pytest.mark.parametrize("key", ["variables", "constants", "cycles"])
+def test_instance_rejects_non_list_fields(key):
+    doc = {
+        "alphabet": {"generators": ["a"], "edges": []},
+        "constants": [[], []],
+        "cycles": [["a"]],
+        "variables": ["x"],
+    }
+    doc[key] = 5
+    with pytest.raises(JsonFormatError):
+        instance_from_json(doc)
+
+
 def test_semilinear_roundtrip():
     s = SemilinearSet((LinearSet.make((1, 0), [(1, 1), (0, 2)]),))
     doc = semilinear_to_json(s)

@@ -160,7 +160,7 @@ def test_brute_force_bound_zero_tests_constant():
 def test_automaton_construction_counts():
     eq = eq_of(Z1, ["", ""], ["a"], ["x"])
     aut = knapsack_to_automaton(eq, 1)
-    assert aut.n_states == 6
+    assert aut.n_states == 4
     assert len(aut.transitions) == 4
 
 
