@@ -4,14 +4,25 @@ An independence alphabet is a finite simple graph on generator names.  Adjacent
 generators commute in the associated group.  Graphs without an induced path or
 cycle on four vertices decompose into free products and direct products with
 one distinguished generator; that decomposition drives the solvers downstream.
+
+The letter-level loops of the word problem and of the normal forms read two
+tables instead of testing pairs of generators: ``commuting`` maps each
+generator to the set of generators it commutes with (the cancellation scan
+walks back over exactly these), and ``dependence()`` numbers the generators
+in name order and lists, per number, the numbers of the generators it does not
+commute with.  A letter's Foata level is one more than the highest level among
+those generators, so the levels need no pairwise test either.  The second
+table is built on first use, because most alphabets never need it, and is
+shared by equal alphabets.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import InvalidAlphabetError, NotTransitiveForestError
 
@@ -22,14 +33,46 @@ TRANSITIVE_FOREST_NOT_COMPLETE = "transitive_forest_not_complete"
 GENERAL = "general"
 
 
+class DependenceTables(NamedTuple):
+    """Integer view of an alphabet.  Ids follow the generators' name order,
+    which is the tie-break order of the normal forms, so sorting ids sorts
+    names.  A signed letter (g, +1 | -1) has the code 2 * id + (1 if
+    inverse), so sorting codes also puts a positive letter first."""
+
+    ids: Dict[str, int]
+    # per id: the ids of the generators it does not commute with, itself included
+    dependents: Tuple[Tuple[int, ...], ...]
+    code: Dict[Tuple[str, int], int]
+    letters: Tuple[Tuple[str, int], ...]  # indexed by code
+
+
+@functools.lru_cache(maxsize=256)
+def _dependence_tables(generators: Tuple[str, ...], edges: frozenset) -> DependenceTables:
+    """Built once per distinct alphabet: a workload may hold many equal
+    alphabets, and each copy of the tables costs about a kilobyte."""
+    names = sorted(generators)
+    dependents = tuple(
+        tuple(j for j, h in enumerate(names) if h == g or frozenset((g, h)) not in edges)
+        for g in names
+    )
+    letters = tuple((g, sign) for g in names for sign in (1, -1))
+    return DependenceTables(
+        {g: i for i, g in enumerate(names)},
+        dependents,
+        {letter: c for c, letter in enumerate(letters)},
+        letters,
+    )
+
+
 class IndependenceAlphabet:
     """A finite simple graph (generators, commutation edges).
 
     Generators keep their input order; the order is used as a tie-breaker by
     deterministic operations.  Instances are treated as immutable.
+    ``commuting[g]`` is the set of generators that commute with ``g``.
     """
 
-    __slots__ = ("generators", "edges", "_index", "_adjacent")
+    __slots__ = ("generators", "edges", "_index", "commuting", "_dependence")
 
     def __init__(self, generators: Sequence[str], edges: Iterable[Sequence[str]]):
         gens = tuple(generators)
@@ -56,7 +99,8 @@ class IndependenceAlphabet:
             a, b = sorted(pair, key=self._index.__getitem__)
             adjacent[a].add(b)
             adjacent[b].add(a)
-        self._adjacent = {g: frozenset(s) for g, s in adjacent.items()}
+        self.commuting = {g: frozenset(s) for g, s in adjacent.items()}
+        self._dependence: Optional[DependenceTables] = None
 
     def __contains__(self, generator: str) -> bool:
         return generator in self._index
@@ -83,13 +127,16 @@ class IndependenceAlphabet:
 
     def independent(self, a: str, b: str) -> bool:
         """True iff a and b are distinct and joined by an edge (they commute)."""
-        return b in self._adjacent.get(a, ())
+        return b in self.commuting.get(a, ())
 
     def dependent(self, a: str, b: str) -> bool:
         return not self.independent(a, b)
 
-    def neighbors(self, a: str) -> frozenset:
-        return self._adjacent[a]
+    def dependence(self) -> DependenceTables:
+        """The integer dependence tables, shared by equal alphabets."""
+        if self._dependence is None:
+            self._dependence = _dependence_tables(self.generators, self.edges)
+        return self._dependence
 
     def restrict(self, generators: Sequence[str]) -> "IndependenceAlphabet":
         """Induced sub-alphabet on the given generators, in alphabet order."""
@@ -202,7 +249,7 @@ def _components(alpha: IndependenceAlphabet, gens: Sequence[str]):
         while stack:
             v = stack.pop()
             comp.append(v)
-            for w in alpha.neighbors(v):
+            for w in alpha.commuting[v]:
                 if w in present and w not in seen:
                     seen.add(w)
                     stack.append(w)

@@ -9,22 +9,32 @@ One reachability engine, ``_reach_one``, decides membership of 1: a forward
 search over pairs (state, canonical geodesic) along power edges u^t v.
 ``membership_one`` runs it on an automaton's transitions, and the knapsack
 solver runs it on the chain of an equation's rows.
+
+The engine keeps its normal form incrementally (Cartier-Foata levels, as in
+Diekert and Rozenberg, The Book of Traces, 1995).  A prefix being extended
+holds its geodesic, the level of each letter and each generator's top level;
+a stored prefix keeps only its key and the top levels.  An appended letter
+either cancels its visible inverse, which is maximal in the trace, so no
+other level moves, or lands at one more than the top level of the generators
+it depends on.  The key that deduplicates prefixes is one sort of the integer
+codes level * width + letter code; no prefix is re-canonicalised.  Power
+edges are read sums first: the abelian prune needs only exponent sums, so a
+t is tested before any copy of u is appended for it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from operator import add
+from operator import add, le, neg
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .alphabet import IndependenceAlphabet
-from .errors import AutomatonError, ResourceExhaustedError
+from .errors import AutomatonError, ResourceExhaustedError, WordError
 from .group import (
     EMPTY_WORD,
     GroupWord,
     append_reduced,
-    canonical_order,
     concat,
     exponent_sums,
     generator_index,
@@ -151,6 +161,67 @@ PowerEdge = Tuple[int, GroupWord, int, GroupWord, int]
 Feasible = Callable[[int, Tuple[int, ...]], bool]
 
 
+class _FoataGeodesic:
+    """A geodesic kept with the Foata level of each of its letters.
+
+    ``letters`` is the geodesic in the order it was built, and ``codes[i]``
+    is level * width + the code of ``letters[i]``; the letter codes, and
+    their count ``width``, come from ``alpha.dependence()``.  ``top[g]`` is
+    one more than the highest level of generator id g (0 when g is absent).
+    Sorting the codes lists the letters level by level, by name within a
+    level and positive first: exactly ``canonical_order`` of the geodesic, so
+    the sorted codes are a canonical key for the group element.
+    """
+
+    __slots__ = ("alpha", "letters", "codes", "top")
+
+    def __init__(self, alpha: IndependenceAlphabet, letters: list, codes: list, top: list):
+        self.alpha = alpha
+        self.letters = letters
+        self.codes = codes
+        self.top = top
+
+    @classmethod
+    def from_key(
+        cls, alpha: IndependenceAlphabet, key: Tuple[int, ...], top: Sequence[int]
+    ) -> "_FoataGeodesic":
+        """The geodesic of ``key``, in canonical order, with its ``top``."""
+        by_code = alpha.dependence().letters
+        letters = list(map(by_code.__getitem__, map(len(by_code).__rmod__, key)))
+        return cls(alpha, letters, list(key), list(top))
+
+    def copy(self) -> "_FoataGeodesic":
+        return _FoataGeodesic(self.alpha, self.letters[:], self.codes[:], self.top[:])
+
+    def key(self) -> Tuple[int, ...]:
+        return tuple(sorted(self.codes))
+
+    def extend(self, word: Sequence) -> None:
+        """Append the letters of ``word`` one at a time.  A letter either
+        cancels its visible inverse, which is then maximal in the trace, so no
+        other level moves, or lands one level above the highest level among
+        the generators it depends on."""
+        alpha = self.alpha
+        ids, dependents, code, by_code = alpha.dependence()
+        width = len(by_code)
+        letters, codes, top = self.letters, self.codes, self.top
+        for letter in word:
+            pos = append_reduced(letters, letter, alpha)
+            gen = letter[0]
+            gid = ids[gen]
+            if pos < 0:
+                level = max(map(top.__getitem__, dependents[gid]))
+                codes.append(level * width + code[letter])
+                top[gid] = level + 1
+                continue
+            del codes[pos]
+            top[gid] = 0
+            for j in range(pos - 1, -1, -1):
+                if letters[j][0] == gen:
+                    top[gid] = codes[j] // width + 1
+                    break
+
+
 def _reach_one(
     n_states: int,
     initial: int,
@@ -164,13 +235,16 @@ def _reach_one(
     """Find a path from ``initial`` to a final state whose label is trivial.
 
     Runs forward in the topological ``order`` over pairs (state, canonical
-    geodesic of the prefix read so far), deduplicated at each edge's target;
-    the power ``u`` is appended one copy at a time.  With ``feasible`` given,
-    a prefix is dropped when its geodesic is longer than every label left to
-    a final state (a geodesic of length L needs at least L further letters to
-    cancel) or when ``feasible`` rejects its exponent sums, which are checked
-    before ``v`` is appended.  Returns the witness as (edge index, t) pairs,
-    or None.  Raises ResourceExhaustedError past ``node_cap`` stored prefixes.
+    key of the geodesic of the prefix read so far), deduplicated at each
+    edge's target.  With ``feasible`` given, a prefix is dropped when its
+    geodesic is longer than every label left to a final state (a geodesic of
+    length L needs at least L further letters to cancel) or when ``feasible``
+    rejects its exponent sums.  The sums of u^t v need no word, so they are
+    tested first for each t, and copies of ``u`` are appended only up to a t
+    that passes.  Each prefix carries the Foata levels of its geodesic
+    (``_FoataGeodesic``), so its key costs one sort, not a normal form.
+    Returns the witness as (edge index, t) pairs, or None.  Raises
+    ResourceExhaustedError past ``node_cap`` stored prefixes.
     """
     outgoing: List[List[int]] = [[] for _ in range(n_states)]
     for idx, edge in enumerate(edges):
@@ -191,26 +265,27 @@ def _reach_one(
 
     index = generator_index(alpha)
     edge_sums = [(exponent_sums(u, index), exponent_sums(v, index)) for _, u, _, v, _ in edges]
-    # per state: canonical form -> (its exponent sums, form at the edge's source,
-    # edge index, t); the initial form has no source
-    parents: List[Dict[GroupWord, Tuple[Tuple[int, ...], Optional[GroupWord], int, int]]] = [
+    # per state: canonical key -> (its exponent sums, its top levels, key at
+    # the edge's source, edge index, t); the initial key has no source
+    parents: List[Dict[tuple, Tuple[tuple, tuple, Optional[tuple], int, int]]] = [
         {} for _ in range(n_states)
     ]
-    parents[initial][()] = ((0,) * len(index), None, -1, 0)
+    parents[initial][()] = ((0,) * len(index), (0,) * len(alpha), None, -1, 0)
     stored = 1
 
-    def witness(state: int, form: GroupWord) -> List[Tuple[int, int]]:
+    def witness(state: int, key: Tuple[int, ...]) -> List[Tuple[int, int]]:
         path: List[Tuple[int, int]] = []
-        _, prev, idx, t = parents[state][form]
+        _, _, prev, idx, t = parents[state][key]
         while prev is not None:
             path.append((idx, t))
-            state, form = edges[idx][0], prev
-            _, prev, idx, t = parents[state][form]
+            state, key = edges[idx][0], prev
+            _, _, prev, idx, t = parents[state][key]
         path.reverse()
         return path
 
     for q in order:
-        for form, (base, _, _, _) in parents[q].items():
+        for key, (base, top, _, _, _) in parents[q].items():
+            start = None
             for idx in outgoing[q]:
                 _, u, b, v, dst = edges[idx]
                 room = longest[dst]
@@ -218,25 +293,30 @@ def _reach_one(
                     continue
                 su, sv = edge_sums[idx]
                 sums = tuple(map(add, base, sv))
-                buf = list(form)
+                power = None  # the geodesic with ``done`` copies of u appended
+                done = 0
                 for t in range(b + 1):
                     if t:
-                        for letter in u:
-                            append_reduced(buf, letter, alpha)
                         sums = tuple(map(add, sums, su))
                     if feasible is not None and not feasible(dst, sums):
                         continue
-                    word = list(buf) if t < b else buf
-                    for letter in v:
-                        append_reduced(word, letter, alpha)
-                    if feasible is not None and len(word) > room:
+                    if power is None:
+                        if start is None:
+                            start = _FoataGeodesic.from_key(alpha, key, top)
+                        power = start.copy()
+                    if t > done:
+                        power.extend(u * (t - done))
+                        done = t
+                    word = power.copy() if t < b else power
+                    word.extend(v)
+                    if feasible is not None and len(word.letters) > room:
                         continue
-                    if not word and dst in finals:
-                        return witness(q, form) + [(idx, t)]
-                    nf = canonical_order(word, alpha) if word else ()
+                    if not word.letters and dst in finals:
+                        return witness(q, key) + [(idx, t)]
+                    nf = word.key()
                     if nf in parents[dst]:
                         continue
-                    parents[dst][nf] = (sums, form, idx, t)
+                    parents[dst][nf] = (sums, tuple(word.top), key, idx, t)
                     stored += 1
                     if stored > node_cap:
                         raise ResourceExhaustedError(
@@ -282,6 +362,10 @@ def membership_one(
     exponent sums leave the interval hull of the suffixes' sums.  ``order``
     lets callers supply an alternative topological order.
     """
+    for _, label, _ in automaton.transitions:
+        for gen, _ in label:
+            if gen not in alpha:
+                raise WordError(f"unknown generator {gen!r} in a transition label")
     evidence = check_acyclic(automaton)
     if not evidence.acyclic:
         raise AutomatonError(f"automaton has a cycle through {evidence.cycle}")
@@ -296,9 +380,12 @@ def membership_one(
     feasible = None
     if prune:
         win_lo, win_hi = _abelian_windows(automaton, generator_index(alpha), topo)
+        # -sums in [lo, hi]  <=>  sums in [-hi, -lo]
+        sums_lo = [tuple(map(neg, hi)) for hi in win_hi]
+        sums_hi = [tuple(map(neg, lo)) for lo in win_lo]
 
         def feasible(state: int, sums: Tuple[int, ...]) -> bool:
-            return all(l <= -s <= h for s, l, h in zip(sums, win_lo[state], win_hi[state]))
+            return all(map(le, sums_lo[state], sums)) and all(map(le, sums, sums_hi[state]))
 
     edges = [(src, EMPTY_WORD, 0, label, dst) for src, label, dst in automaton.transitions]
     path = _reach_one(

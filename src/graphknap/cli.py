@@ -58,8 +58,15 @@ def _natural(text: str) -> int:
     return int(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one ``error: ...`` line, like input errors, and exit 1."""
+
+    def error(self, message: str):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="graphknap", description=__doc__)
+    parser = _Parser(prog="graphknap", description=__doc__)
     parser.add_argument("--seed", type=int, default=None, help="echoed in the output")
     parser.add_argument("--format", choices=["json"], default="json",
                         help="output format (only json)")

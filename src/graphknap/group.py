@@ -6,11 +6,20 @@ made adjacent by commutations (valid for every alphabet), and
 ``is_identity_stacked`` runs the stacked counter/suspend machine along a
 decomposition tree (transitive forests only).  The two are cross-checked
 exhaustively in the test suite.
+
+``append_reduced`` is the one cancellation scan: ``is_identity``,
+``reduce_word`` and the reachability engine in ``automata`` all build
+geodesics through it.  It walks back over the letters in the alphabet's
+``commuting`` table and tells the caller which position it cancelled, so the
+engine can keep Foata levels beside the geodesic; ``is_identity`` keeps none.
+``canonical_order`` is the step form of a geodesic, scheduled with the
+alphabet's dependence tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .alphabet import DecompositionNode, DirectZ, FreeProduct, IndependenceAlphabet, Trivial, decompose
@@ -91,22 +100,28 @@ def _check_letters(word: Sequence[SignedLetter], alpha: IndependenceAlphabet) ->
             raise WordError(f"bad sign on {gen!r}")
 
 
-def append_reduced(buf: List[SignedLetter], letter: SignedLetter, alpha: IndependenceAlphabet) -> None:
+def append_reduced(buf: List[SignedLetter], letter: SignedLetter, alpha: IndependenceAlphabet) -> int:
     """Append one letter to a geodesic buffer, cancelling when an inverse
-    partner is visible through independent letters (in place)."""
+    partner is visible through commuting letters (in place).  Returns the
+    index the cancelled partner had, or -1 when the letter was appended.
+
+    This is the one cancellation scan of the package: ``is_identity``,
+    ``reduce_word`` and the reachability engine all append through it."""
     gen, sign = letter
+    commuting = alpha.commuting[gen]
     i = len(buf) - 1
     while i >= 0:
         g2, s2 = buf[i]
         if g2 == gen:
             if s2 == -sign:
                 del buf[i]
-                return
+                return i
             break
-        if alpha.dependent(gen, g2):
+        if g2 not in commuting:
             break
         i -= 1
     buf.append(letter)
+    return -1
 
 
 def _geodesic(word: Sequence[SignedLetter], alpha: IndependenceAlphabet) -> List[SignedLetter]:
@@ -116,14 +131,14 @@ def _geodesic(word: Sequence[SignedLetter], alpha: IndependenceAlphabet) -> List
     return buf
 
 
+def _letter_order(letter: SignedLetter) -> Tuple[str, int]:
+    return letter[0], -letter[1]
+
+
 def canonical_order(word: Sequence[SignedLetter], alpha: IndependenceAlphabet) -> GroupWord:
     """Deterministic reordering of independent letters (step form, positive
     letters before inverses within a step)."""
-    steps = step_sequence(
-        tuple(word),
-        lambda x, y: alpha.dependent(x[0], y[0]),
-        lambda x: (x[0], -x[1]),
-    )
+    steps = step_sequence(word, alpha, itemgetter(0), _letter_order)
     return tuple(letter for step in steps for letter in step)
 
 

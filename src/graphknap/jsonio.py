@@ -78,27 +78,41 @@ def automaton_to_json(automaton: WordAutomaton) -> dict:
     }
 
 
+def _int(doc: dict, key: str) -> int:
+    value = _require(doc, key, int)
+    if isinstance(value, bool):
+        raise JsonFormatError(f"{key!r} must be an int, got {value!r}")
+    return value
+
+
+def _objects(doc: dict, key: str) -> list:
+    """The list of objects under ``key`` (empty when absent)."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise JsonFormatError(f"{key!r} must be a list of objects, got {entries!r}")
+    return entries
+
+
 def automaton_from_json(doc: dict, alpha: IndependenceAlphabet = None) -> WordAutomaton:
     if not isinstance(doc, dict):
         raise JsonFormatError("automaton document must be an object")
-    transitions = []
-    for entry in doc.get("transitions", []):
-        transitions.append(
-            (
-                _require(entry, "from"),
-                word_from_json(_require(entry, "label"), alpha),
-                _require(entry, "to"),
-            )
-        )
-    loops = []
-    for entry in doc.get("loops", []):
-        loops.append((_require(entry, "state"), word_from_json(_require(entry, "label"), alpha)))
+    transitions = tuple(
+        (_int(entry, "from"), word_from_json(_require(entry, "label"), alpha), _int(entry, "to"))
+        for entry in _objects(doc, "transitions")
+    )
+    loops = tuple(
+        (_int(entry, "state"), word_from_json(_require(entry, "label"), alpha))
+        for entry in _objects(doc, "loops")
+    )
+    finals = _require(doc, "finals", list)
+    if not all(isinstance(q, int) and not isinstance(q, bool) for q in finals):
+        raise JsonFormatError(f"'finals' must be a list of ints, got {finals!r}")
     return WordAutomaton(
-        n_states=_require(doc, "states"),
-        initial=_require(doc, "initial"),
-        finals=frozenset(_require(doc, "finals")),
-        transitions=tuple(transitions),
-        loops=tuple(loops),
+        n_states=_int(doc, "states"),
+        initial=_int(doc, "initial"),
+        finals=frozenset(finals),
+        transitions=transitions,
+        loops=loops,
     )
 
 

@@ -5,8 +5,8 @@ Solving dispatches on the alphabet class: complete graphs go through
 abelianization and hyperplane decompositions (exact); non-complete transitive
 forests get an exact sweep up to the magnitude bound of their class when that
 bound is small enough, otherwise iterative deepening; general alphabets get
-search only, so "unsolvable" is never claimed without a completeness
-certificate.
+the abelian precheck, then search only, so "unsolvable" is never claimed
+without a certificate (an infeasible abelianization or a complete sweep).
 
 Every bounded decision (the sweep, each deepening step, ``solve_within_bounds``)
 is membership of 1 in the chain automaton v0, then one power edge u_i^t v_i
@@ -294,7 +294,9 @@ class SolveOutcome:
             "status": self.status,
             "assignment": self.assignment,
             "bound": self.bound,
+            "bound_provenance": self.bound_provenance,
             "budget": self.budget,
+            "method": self.method,
         }
 
 
@@ -561,16 +563,26 @@ def _solve_by_search(
         budget = min(nxt, ceiling)
 
 
+def _abelian_precheck(eq: ExponentEquation) -> Optional[SolveOutcome]:
+    """Unsolvable when the exponent-sum system has no solution over N.  The
+    abelianization is a homomorphism, so this is sound for every alphabet
+    class."""
+    if not _abelian_solution_set(eq).is_empty():
+        return None
+    return SolveOutcome(
+        UNSOLVABLE, bound=0,
+        bound_provenance="abelianized equation has no solution over the naturals",
+        method="abelian-precheck",
+    )
+
+
 def _solve_transitive_forest(eq: ExponentEquation, limits: SolverLimits) -> SolveOutcome:
     tree = decompose(eq.alphabet)
     split = split_for_alphabet(eq.alphabet, tree) if isinstance(tree, FreeProduct) else None
     eq2 = preprocess(eq, split)
-    if _abelian_solution_set(eq2).is_empty():
-        return SolveOutcome(
-            UNSOLVABLE, bound=0,
-            bound_provenance="abelianized equation has no solution over the naturals",
-            method="abelian-precheck",
-        )
+    refuted = _abelian_precheck(eq2)
+    if refuted is not None:
+        return refuted
     bound = tameness_bound(eq2, tree).value
     k = eq2.k
     if eq2.knapsack_shape and (k + 2) * (bound + 1) <= limits.automaton_states:
@@ -602,7 +614,7 @@ def solve(eq: ExponentEquation, limits: SolverLimits = DEFAULT_LIMITS) -> SolveO
     eq2 = preprocess(eq)
     if graph_class.kind == COMPLETE:
         return _solve_complete(eq2, limits)
-    # general alphabet: search only
+    # general alphabet: the abelian precheck, then search
     if not eq2.cycles:
         if is_identity(eq2.constants[0], eq2.alphabet):
             return SolveOutcome(SOLVABLE, assignment=_full_assignment(eq2, {}),
@@ -610,7 +622,7 @@ def solve(eq: ExponentEquation, limits: SolverLimits = DEFAULT_LIMITS) -> SolveO
         return SolveOutcome(UNSOLVABLE, bound=0,
                             bound_provenance="no variables: constant part is nontrivial",
                             method="search")
-    return _solve_by_search(eq2, limits, None, method="search")
+    return _abelian_precheck(eq2) or _solve_by_search(eq2, limits, None, method="search")
 
 
 def solve_subset_sum(eq: ExponentEquation, limits: SolverLimits = DEFAULT_LIMITS) -> SolveOutcome:

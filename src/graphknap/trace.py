@@ -28,24 +28,27 @@ class TraceNormalForm:
         return tuple(letter for step in self.steps for letter in step)
 
 
-def step_sequence(letters: Sequence, dependent: Callable, sort_key: Callable) -> tuple:
+def step_sequence(letters: Sequence, alpha: IndependenceAlphabet, generator: Callable,
+                  sort_key: Callable) -> tuple:
     """Greedy step scheduling shared by monoid and group canonical forms.
 
     Each letter lands one step after the last letter it depends on; steps come
-    out sorted by ``sort_key``.
+    out sorted by ``sort_key``.  ``generator`` maps a letter to its generator.
+    The step of a letter is read off the highest step so far of each generator
+    it depends on (the alphabet's dependence tables), not found by comparing
+    it with earlier letters.
     """
-    steps = []
-    depth = {}
+    ids, dependents, _, _ = alpha.dependence()
+    top = [0] * len(ids)  # per generator id: one more than its highest step so far
+    steps: list = []
     for letter in letters:
-        level = 0
-        for other, d in depth.items():
-            if d > level and dependent(letter, other):
-                level = d
+        gid = ids[generator(letter)]
+        level = max(map(top.__getitem__, dependents[gid]))
         if level == len(steps):
             steps.append([letter])
         else:
             steps[level].append(letter)
-        depth[letter] = level + 1
+        top[gid] = level + 1
     return tuple(tuple(sorted(step, key=sort_key)) for step in steps)
 
 
@@ -61,7 +64,8 @@ def foata_normal_form(word: Sequence[str], alpha: IndependenceAlphabet) -> Trace
     """Canonical step form; two words receive equal forms iff they are
     equivalent under the commutations of ``alpha``."""
     w = _check_word(word, alpha)
-    return TraceNormalForm(step_sequence(w, alpha.dependent, lambda x: x))
+    # a monoid letter is its own generator and sorts by name
+    return TraceNormalForm(step_sequence(w, alpha, str, str))
 
 
 def traces_equal(u: Sequence[str], v: Sequence[str], alpha: IndependenceAlphabet) -> bool:

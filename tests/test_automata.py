@@ -7,6 +7,7 @@ from graphknap import (
     AutomatonError,
     ResourceExhaustedError,
     WordAutomaton,
+    WordError,
     check_acyclic,
     check_acyclic_loop,
     membership_one,
@@ -15,6 +16,8 @@ from graphknap import (
     validate_alphabet,
     word_from_strs,
 )
+from graphknap.automata import _FoataGeodesic
+from graphknap.group import reduce_word
 
 F2 = validate_alphabet(["a", "b"], [])
 
@@ -136,6 +139,12 @@ def test_membership_prune_does_not_change_answers():
         )
 
 
+def test_membership_rejects_foreign_letters():
+    aut = WordAutomaton(2, 0, frozenset({1}), ((0, W("a z z^-1 a^-1"), 1),))
+    with pytest.raises(WordError):
+        membership_one(aut, F2)
+
+
 def test_membership_node_cap():
     aut = _random_acyclic(random.Random(7), 6, 7, 3)
     with pytest.raises(ResourceExhaustedError):
@@ -194,3 +203,34 @@ def test_unroll_language_sizes_multiply_along_chain():
     )
     unrolled = unroll_loops(aut, 2)
     assert len(_language(unrolled)) == 9
+
+
+# -- the engine's incremental Foata form ---------------------------------------
+
+ENGINE_ALPHABETS = {
+    "P4": validate_alphabet(["a", "b", "c", "d"], [["a", "b"], ["b", "c"], ["c", "d"]]),
+    # generators out of name order, so ids (name order) differ from input order
+    "C4": validate_alphabet(["d", "b", "c", "a"], [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]]),
+    "F2": validate_alphabet(["b", "a"], []),
+    "ZxF2": validate_alphabet(["z", "a", "b"], [["z", "a"], ["z", "b"]]),
+    "Z3": validate_alphabet(["a", "b", "c"], [["a", "b"], ["b", "c"], ["a", "c"]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_ALPHABETS))
+def test_incremental_form_matches_reduce_word(name):
+    alpha = ENGINE_ALPHABETS[name]
+    letters = [(g, s) for g in alpha.generators for s in (1, -1)]
+    rng = random.Random(f"foata-{name}")
+    for _ in range(60):
+        word = [rng.choice(letters) for _ in range(rng.randint(1, 40))]
+        state = _FoataGeodesic.from_key(alpha, (), (0,) * len(alpha))
+        for i, letter in enumerate(word):
+            state.extend((letter,))
+            expected = reduce_word(word[: i + 1], alpha)
+            key = state.key()
+            assert len(state.letters) == len(expected)
+            decoded = _FoataGeodesic.from_key(alpha, key, state.top)
+            assert tuple(decoded.letters) == expected
+            if rng.random() < 0.3:  # continue from the decoded state, as the engine does
+                state = decoded

@@ -97,14 +97,32 @@ def test_solve_unknown_exit_code(capsys, tmp_path):
     path.write_text(json.dumps({
         "alphabet": {"generators": ["a", "b", "c", "d"],
                      "edges": [["a", "b"], ["b", "c"], ["c", "d"]]},
-        "constants": [[], ["a", "d"]],
-        "cycles": [["a", "d", "a^-1", "d^-1"]],
+        "constants": [[], ["a^-1", "a^-1", "a^-1", "a^-1", "a^-1"]],
+        "cycles": [["a"]],
         "variables": ["x"],
         "mode": "knapsack",
     }))
     code, payload = _run(capsys, ["solve", "-i", str(path), "--ceiling", "2"])
     assert code == 2
     assert payload["status"] == "unknown"
+
+
+def test_solve_json_names_method_and_provenance(capsys, tmp_path):
+    # (a d a^-1 d^-1)^x a d on P4: a's exponent sum is 1 for every x
+    path = tmp_path / "p4inst.json"
+    path.write_text(json.dumps({
+        "alphabet": {"generators": ["a", "b", "c", "d"],
+                     "edges": [["a", "b"], ["b", "c"], ["c", "d"]]},
+        "constants": [[], ["a", "d"]],
+        "cycles": [["a", "d", "a^-1", "d^-1"]],
+        "variables": ["x"],
+        "mode": "knapsack",
+    }))
+    code, payload = _run(capsys, ["solve", "-i", str(path)])
+    assert code == 0
+    assert payload["status"] == "unsolvable"
+    assert payload["method"] == "abelian-precheck"
+    assert payload["bound_provenance"] == "abelianized equation has no solution over the naturals"
 
 
 def test_bound_report(capsys, instance_file):
@@ -178,6 +196,8 @@ def test_seed_echoed(capsys, f2_file):
 def test_usage_error_exit_one(capsys):
     assert run(["classify"]) == 1
     assert run(["nope"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
 
 
 def test_input_error_exit_one(capsys, tmp_path):
@@ -192,6 +212,7 @@ def _rejected(capsys, argv):
     assert code == 1
     assert captured.out == ""
     assert "nonnegative" in captured.err and "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 def test_solve_rejects_negative_ceiling(capsys, instance_file):

@@ -96,6 +96,47 @@ def test_instance_rejects_non_list_fields(key):
         instance_from_json(doc)
 
 
+_AUTOMATON_DOC = {
+    "states": 2, "initial": 0, "finals": [1],
+    "transitions": [{"from": 0, "to": 1, "label": ["a", "a^-1"]}],
+    "loops": [{"state": 0, "label": ["a"]}],
+}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("transitions", 5),
+    ("transitions", [5]),
+    ("transitions", {"from": 0, "to": 1, "label": []}),
+    ("loops", 5),
+    ("loops", ["a"]),
+    ("states", "2"),
+    ("states", 2.0),
+    ("initial", None),
+    ("initial", True),
+    ("finals", 1),
+    ("finals", ["1"]),
+])
+def test_automaton_rejects_bad_fields(key, value):
+    doc = dict(_AUTOMATON_DOC, **{key: value})
+    with pytest.raises(JsonFormatError):
+        automaton_from_json(doc)
+
+
+@pytest.mark.parametrize("entry", [
+    {"from": "0", "to": 1, "label": []},
+    {"from": 0, "to": [1], "label": []},
+    {"to": 1, "label": []},
+])
+def test_automaton_rejects_bad_transition_entries(entry):
+    with pytest.raises(JsonFormatError):
+        automaton_from_json(dict(_AUTOMATON_DOC, transitions=[entry]))
+
+
+def test_automaton_optional_lists_default_to_empty():
+    doc = {"states": 1, "initial": 0, "finals": [0]}
+    assert automaton_from_json(doc) == WordAutomaton(1, 0, frozenset({0}), ())
+
+
 def test_semilinear_roundtrip():
     s = SemilinearSet((LinearSet.make((1, 0), [(1, 1), (0, 2)]),))
     doc = semilinear_to_json(s)

@@ -24,7 +24,7 @@ from graphknap import (
     verify_solution,
     word_from_strs,
 )
-from graphknap.knapsack import _knapsack_automaton_with_roles
+from graphknap.knapsack import _abelian_solution_set, _knapsack_automaton_with_roles
 from graphknap.semilinear import members_up_to, semilinear_member
 
 Z1 = validate_alphabet(["a"], [])
@@ -233,13 +233,17 @@ def test_solvable_outcomes_reverify_everywhere():
 
 def test_general_alphabet_never_unsolvable():
     # no magnitude bound exists for general alphabets; unsolvable may only be
-    # claimed for the degenerate no-variable instances
+    # claimed for the degenerate no-variable instances or by the abelian
+    # precheck, whose certificate is an infeasible exponent-sum system
     rng = random.Random(5150)
     for _ in range(15):
         eq = _random_equation(rng, P4, 2, 2)
         out = solve(eq, SolverLimits(search_ceiling=4))
         if out.status == "unsolvable":
-            assert not preprocess(eq).cycles
+            if preprocess(eq).cycles:
+                assert out.method == "abelian-precheck"
+                assert _abelian_solution_set(preprocess(eq)).is_empty()
+                assert not brute_force_solutions(eq, 3)
         else:
             assert out.status in ("solvable", "unknown")
     crafted = eq_of(P4, ["", "d^-1 d^-1 a^-1"], ["a d d"], ["x"])
