@@ -22,7 +22,8 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import InvalidAlphabetError, NotTransitiveForestError
 
@@ -124,6 +125,12 @@ class IndependenceAlphabet:
 
     def index(self, generator: str) -> int:
         return self._index[generator]
+
+    @property
+    def positions(self) -> Mapping[str, int]:
+        """Read-only view of each generator's position in ``generators``, the
+        coordinate it has in exponent-sum vectors."""
+        return MappingProxyType(self._index)
 
     def independent(self, a: str, b: str) -> bool:
         """True iff a and b are distinct and joined by an edge (they commute)."""

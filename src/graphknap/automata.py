@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from operator import add, le, neg
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .alphabet import IndependenceAlphabet
 from .errors import AutomatonError, ResourceExhaustedError, WordError
@@ -37,7 +37,6 @@ from .group import (
     append_reduced,
     concat,
     exponent_sums,
-    generator_index,
     is_identity,
 )
 
@@ -263,7 +262,7 @@ def _reach_one(
     if initial in finals:
         return []
 
-    index = generator_index(alpha)
+    index = alpha.positions
     edge_sums = [(exponent_sums(u, index), exponent_sums(v, index)) for _, u, _, v, _ in edges]
     # per state: canonical key -> (its exponent sums, its top levels, key at
     # the edge's source, edge index, t); the initial key has no source
@@ -326,7 +325,7 @@ def _reach_one(
 
 
 def _abelian_windows(
-    automaton: WordAutomaton, index: Dict[str, int], order: Sequence[int]
+    automaton: WordAutomaton, index: Mapping[str, int], order: Sequence[int]
 ) -> Tuple[List[Tuple[float, ...]], List[Tuple[float, ...]]]:
     """Per state, a coordinatewise interval hull [lo, hi] of the achievable
     suffix exponent sums; empty (lo > hi) where no final state is reachable.
@@ -379,7 +378,7 @@ def membership_one(
                 raise AutomatonError("supplied order is not topological")
     feasible = None
     if prune:
-        win_lo, win_hi = _abelian_windows(automaton, generator_index(alpha), topo)
+        win_lo, win_hi = _abelian_windows(automaton, alpha.positions, topo)
         # -sums in [lo, hi]  <=>  sums in [-hi, -lo]
         sums_lo = [tuple(map(neg, hi)) for hi in win_hi]
         sums_hi = [tuple(map(neg, lo)) for lo in win_lo]

@@ -4,23 +4,38 @@ and the local semilinear cover.
 A substituted equation word factors into blocks (per-copy syllables of the
 cycles plus syllables of the constants).  A cancellation partitions the block
 indices into same-factor, trivially-multiplying, well-nested edges; it exists
-exactly when the word is trivial.  Mixed periods pump two mixed cycles in
-tandem; grow/shrink add and remove one period while keeping a certified
-solution, and the local cover turns a single solution into a semilinear set of
-solutions containing it.
+exactly when the word is trivial.
+
+Well-nestedness is what lets both directions run as one left-to-right stack
+pass.  Edges e and f cross when blocks i1 < j1 < i2 < j2 alternate between
+them; scanning left to right, that is exactly a later block of e arriving
+while an edge opened after e is still open.  So ``verify_cancellation`` keeps
+the stack of open edges (first block seen, last not yet) and requires every
+later block of an edge to find that edge on top.  ``find_cancellation`` keeps
+the stack of open same-factor runs, each with its geodesic; a trivial run
+closes as an edge as soon as the next block comes from the other factor (or
+the input ends), and the run below it, of the next block's factor, resumes.
+Every run under the top is nontrivial, so each close removes the leftmost
+maximal trivial run of what is left, and no block is scanned twice.
+
+Mixed periods pump two mixed cycles in tandem; grow/shrink add and remove one
+period while keeping a certified solution, and the local cover turns a single
+solution into a semilinear set of solutions containing it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .alphabet import DecompositionNode, FreeProduct, decompose
+from .alphabet import DecompositionNode, FreeProduct, IndependenceAlphabet, decompose
 from .errors import CancellationError, EquationError, ResourceExhaustedError
 from .group import (
     FreeProductSplit,
     GroupWord,
+    SignedLetter,
+    append_reduced,
     concat,
     is_identity,
     split_for_alphabet,
@@ -32,7 +47,6 @@ from .knapsack import (
     SolverLimits,
     _q_poly,
     preprocess,
-    verify_solution,
 )
 from .semilinear import IntVector, LinearSet, SemilinearSet, vec_add
 
@@ -129,15 +143,17 @@ def block_factorize(
 # -- the five axioms -----------------------------------------------------------
 
 
-def _crossing(a: Sequence[int], b: Sequence[int]) -> bool:
-    """True iff some i1 < j1 < i2 < j2 exists with i's in a and j's in b."""
-    a_sorted, b_sorted = sorted(a), sorted(b)
-    for j1 in b_sorted:
-        before = [i for i in a_sorted if i < j1]
-        after = [i for i in a_sorted if i > j1]
-        if before and after and b_sorted[-1] > min(after):
-            return True
-    return False
+def _words_and_factors(
+    blocks, split: Optional[FreeProductSplit], alpha
+) -> Tuple[List[GroupWord], List[int], IndependenceAlphabet]:
+    """Block words, their factors and the alphabet of a BlockSequence or of a
+    plain sequence of same-factor words (which needs ``split`` and ``alpha``)."""
+    if isinstance(blocks, BlockSequence):
+        return blocks.words(), [b.factor for b in blocks.blocks], blocks.eq.alphabet
+    if split is None or alpha is None:
+        raise CancellationError("raw block lists need an explicit split and alphabet")
+    words = [tuple(w) for w in blocks]
+    return words, [split.factor_of_word(w) for w in words], alpha
 
 
 def verify_cancellation(
@@ -151,15 +167,7 @@ def verify_cancellation(
     ``blocks`` is a BlockSequence or a plain sequence of same-factor words
     (then ``split`` and ``alpha`` are required).
     """
-    if isinstance(blocks, BlockSequence):
-        words = blocks.words()
-        factors = [b.factor for b in blocks.blocks]
-        alpha = blocks.eq.alphabet
-    else:
-        if split is None or alpha is None:
-            raise CancellationError("raw block lists need an explicit split and alphabet")
-        words = [tuple(w) for w in blocks]
-        factors = [split.factor_of_word(w) for w in words]
+    words, factors, alpha = _words_and_factors(blocks, split, alpha)
     m = len(words)
     edges = [sorted(e) for e in cancellation]
 
@@ -172,8 +180,6 @@ def verify_cancellation(
         return False, AXIOM_PARTITION
 
     for e in edges:
-        if any(i < 1 or i > m for i in e):
-            return False, AXIOM_PARTITION
         if len({factors[i - 1] for i in e}) > 1:
             return False, AXIOM_CONSISTENT
 
@@ -181,16 +187,24 @@ def verify_cancellation(
         if not is_identity(concat(*(words[i - 1] for i in e)), alpha):
             return False, AXIOM_CANCELLING
 
-    for e1, e2 in itertools.combinations(edges, 2):
-        if _crossing(e1, e2) or _crossing(e2, e1):
-            return False, AXIOM_WELL_NESTED
-
-    membership = {}
-    for e in edges:
+    edge_of = [0] * (m + 1)
+    for n, e in enumerate(edges):
         for i in e:
-            membership[i] = frozenset(e)
+            edge_of[i] = n
+    open_edges: List[int] = []
+    for i in range(1, m + 1):
+        n = edge_of[i]
+        e = edges[n]
+        if i == e[0]:
+            if len(e) > 1:
+                open_edges.append(n)
+        elif open_edges[-1] != n:
+            return False, AXIOM_WELL_NESTED
+        elif i == e[-1]:
+            open_edges.pop()
+
     for i in range(1, m):
-        if factors[i - 1] == factors[i] and membership[i] != membership[i + 1]:
+        if factors[i - 1] == factors[i] and edge_of[i] != edge_of[i + 1]:
             return False, AXIOM_MAXIMAL
 
     return True, None
@@ -200,49 +214,25 @@ def find_cancellation(
     blocks,
     split: Optional[FreeProductSplit] = None,
     alpha=None,
-    is_one: Optional[Callable[[GroupWord], bool]] = None,
 ) -> Optional[Cancellation]:
-    """Constructive search: peel the leftmost maximal same-factor run that
-    multiplies to the identity, recurse on the rest, and re-index.  Succeeds
-    exactly when the concatenated word is trivial."""
-    if isinstance(blocks, BlockSequence):
-        words = blocks.words()
-        factors = [b.factor for b in blocks.blocks]
-        alpha = blocks.eq.alphabet
-    else:
-        if split is None or alpha is None:
-            raise CancellationError("raw block lists need an explicit split and alphabet")
-        words = [tuple(w) for w in blocks]
-        factors = [split.factor_of_word(w) for w in words]
-    if is_one is None:
-        one_alpha = alpha
-        is_one = lambda w: is_identity(w, one_alpha)
-
-    items = list(zip(range(1, len(words) + 1), words, factors))
-
-    def recurse(items: List[Tuple[int, GroupWord, int]]) -> Optional[List[FrozenSet[int]]]:
-        if not items:
-            return []
-        pos = 0
-        while pos < len(items):
-            end = pos
-            while end + 1 < len(items) and items[end + 1][2] == items[pos][2]:
-                end += 1
-            run = concat(*(items[t][1] for t in range(pos, end + 1)))
-            if is_one(run):
-                edge = frozenset(items[t][0] for t in range(pos, end + 1))
-                rest = items[:pos] + items[end + 1:]
-                sub = recurse(rest)
-                if sub is None:
-                    return None
-                return sub + [edge]
-            pos = end + 1
-        return None
-
-    edges = recurse(items)
-    if edges is None:
-        return None
-    return frozenset(edges)
+    """Constructive search in one pass over a stack of open same-factor runs
+    (see the module docstring); succeeds exactly when the concatenated word is
+    trivial."""
+    words, factors, alpha = _words_and_factors(blocks, split, alpha)
+    edges: List[FrozenSet[int]] = []
+    runs: List[Tuple[int, List[int], List[SignedLetter]]] = []  # factor, indices, geodesic
+    for i, (word, factor) in enumerate(zip(words, factors), 1):
+        if runs and runs[-1][0] != factor and not runs[-1][2]:
+            edges.append(frozenset(runs.pop()[1]))
+        if not runs or runs[-1][0] != factor:
+            runs.append((factor, [], []))
+        _, indices, geodesic = runs[-1]
+        indices.append(i)
+        for letter in word:
+            append_reduced(geodesic, letter, alpha)
+    while runs and not runs[-1][2]:
+        edges.append(frozenset(runs.pop()[1]))
+    return None if runs else frozenset(edges)
 
 
 # -- mixed periods and compatibility -------------------------------------------
@@ -278,14 +268,6 @@ def _rotate_left(word: GroupWord, t: int, split: FreeProductSplit) -> GroupWord:
     return concat(*syls[t:], *syls[:t])
 
 
-def _rotate_right(word: GroupWord, t: int, split: FreeProductSplit) -> GroupWord:
-    syls = syllables(word, split)
-    t %= len(syls)
-    if t == 0:
-        return tuple(word)
-    return concat(*syls[-t:], *syls[:-t])
-
-
 def _insertion_words(
     blocks: BlockSequence, period: MixedPeriod, p: int, q: int
 ) -> Tuple[GroupWord, GroupWord]:
@@ -296,7 +278,7 @@ def _insertion_words(
     r = blocks.cycle_ranges[i][0]
     s = blocks.cycle_ranges[j][1]
     left = _rotate_left(eq.cycles[i] * counts[j], p - r, split)
-    right = _rotate_right(eq.cycles[j] * counts[i], s - q, split)
+    right = _rotate_left(eq.cycles[j] * counts[i], q - s, split)
     return left, right
 
 
@@ -320,6 +302,20 @@ def _witness_edge(
     return None
 
 
+def _verified_blocks(
+    eq: ExponentEquation,
+    exponents: Sequence[int],
+    cancellation: Cancellation,
+    split: Optional[FreeProductSplit],
+) -> BlockSequence:
+    """Blocks of the substituted word; raises unless the cancellation is valid."""
+    blocks = block_factorize(eq, exponents, split)
+    ok, axiom = verify_cancellation(blocks, cancellation)
+    if not ok:
+        raise CancellationError(f"invalid cancellation: violates {axiom}")
+    return blocks
+
+
 def compatible_periods(
     eq: ExponentEquation,
     exponents: Sequence[int],
@@ -328,14 +324,9 @@ def compatible_periods(
 ) -> List[MixedPeriod]:
     """Mixed periods whose rotated powers cancel through an edge of the given
     certified solution."""
-    if split is None:
-        split = split_for_alphabet(eq.alphabet)
-    blocks = block_factorize(eq, exponents, split)
-    ok, axiom = verify_cancellation(blocks, cancellation)
-    if not ok:
-        raise CancellationError(f"invalid cancellation: violates {axiom}")
+    blocks = _verified_blocks(eq, exponents, cancellation, split)
     out = []
-    for period in mixed_periods(eq, split):
+    for period in mixed_periods(eq, blocks.split):
         if _witness_edge(blocks, cancellation, period) is not None:
             out.append(period)
     return out
@@ -353,14 +344,9 @@ def grow(
 ) -> Tuple[IntVector, Cancellation]:
     """Add one compatible mixed period, rebuilding the cancellation by nesting
     the inserted block pairs around the witness edge."""
-    if split is None:
-        split = split_for_alphabet(eq.alphabet)
-    if period not in mixed_periods(eq, split):
+    blocks = _verified_blocks(eq, exponents, cancellation, split)
+    if period not in mixed_periods(eq, blocks.split):
         raise CancellationError(f"{period} is not a mixed period of this equation")
-    blocks = block_factorize(eq, exponents, split)
-    ok, axiom = verify_cancellation(blocks, cancellation)
-    if not ok:
-        raise CancellationError(f"invalid cancellation: violates {axiom}")
     witness = _witness_edge(blocks, cancellation, period)
     if witness is None:
         raise CancellationError(f"period {period.vector} is not compatible")
@@ -399,13 +385,8 @@ def shrink(
     The removed blocks are a run of standard edges between the two chosen
     mixed cycles; the removed period stays compatible with the result.
     """
-    if split is None:
-        split = split_for_alphabet(eq.alphabet)
-    x = tuple(int(v) for v in exponents)
-    blocks = block_factorize(eq, x, split)
-    ok, axiom = verify_cancellation(blocks, cancellation)
-    if not ok:
-        raise CancellationError(f"invalid cancellation: violates {axiom}")
+    blocks = _verified_blocks(eq, exponents, cancellation, split)
+    split, x = blocks.split, blocks.exponents
     threshold = removal_threshold(eq)
     counts = syllable_counts(eq, split)
     mixed = [i for i in range(eq.k) if counts[i] > 1]
@@ -474,9 +455,7 @@ def shrink(
     period = MixedPeriod(left_cycle, right_cycle, tuple(vec))
     shrunk = tuple(a - b for a, b in zip(x, vec))
     new_cancellation = frozenset(new_edges)
-    ok, axiom = verify_cancellation(block_factorize(eq, shrunk, split), new_cancellation)
-    if not ok:
-        raise CancellationError(f"shrunk cancellation violates {axiom}")
+    _verified_blocks(eq, shrunk, new_cancellation, split)
     return period, shrunk, new_cancellation
 
 
@@ -487,13 +466,11 @@ def certified_solution(
     eq: ExponentEquation, exponents: Sequence[int], split: Optional[FreeProductSplit] = None
 ) -> Tuple[IntVector, Cancellation]:
     """Find a cancellation for the exponent vector (errors if not a solution)."""
-    if split is None:
-        split = split_for_alphabet(eq.alphabet)
     blocks = block_factorize(eq, exponents, split)
     cancellation = find_cancellation(blocks)
     if cancellation is None:
-        raise EquationError(f"exponents {tuple(exponents)} are not a solution")
-    return tuple(int(v) for v in exponents), cancellation
+        raise EquationError(f"exponents {blocks.exponents} are not a solution")
+    return blocks.exponents, cancellation
 
 
 def local_semilinear_cover(
@@ -522,12 +499,7 @@ def local_semilinear_cover(
     prepared = preprocess(eq, split)
     if len(prepared.cycles) != len(eq.cycles):
         raise EquationError("equation has trivial cycles; preprocess it first")
-    x = tuple(int(v) for v in exponents)
-    assignment = dict(zip(prepared.variables, x))
-    if not verify_solution(prepared, assignment):
-        raise EquationError(f"exponents {x} are not a solution")
-
-    x_cur, c_cur = certified_solution(prepared, x, split)
+    x_cur, c_cur = certified_solution(prepared, exponents, split)
     while True:
         step = shrink(prepared, x_cur, c_cur, split)
         if step is None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .alphabet import DecompositionNode, DirectZ, FreeProduct, IndependenceAlphabet, Trivial, decompose
 from .errors import CancellationError, EquationError, WordError
@@ -46,11 +46,7 @@ def letter_to_str(letter: SignedLetter) -> str:
 def word_from_strs(items: Iterable[str], alpha: Optional[IndependenceAlphabet] = None) -> GroupWord:
     word = tuple(letter_from_str(s) for s in items)
     if alpha is not None:
-        for gen, sign in word:
-            if gen not in alpha:
-                raise WordError(f"unknown generator {gen!r}")
-            if sign not in (1, -1):
-                raise WordError(f"bad sign on {gen!r}")
+        _check_letters(word, alpha)
     return word
 
 
@@ -73,11 +69,6 @@ def word_power(word: GroupWord, exponent: int) -> GroupWord:
     if exponent < 0:
         return invert_word(word) * (-exponent)
     return word * exponent
-
-
-def generator_index(alpha: IndependenceAlphabet) -> Dict[str, int]:
-    """Coordinate of each generator in exponent-sum vectors."""
-    return {g: i for i, g in enumerate(alpha.generators)}
 
 
 def exponent_sums(word: Sequence[SignedLetter], index: Mapping[str, int]) -> Tuple[int, ...]:

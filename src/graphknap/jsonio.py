@@ -165,7 +165,14 @@ def semilinear_from_json(doc: dict) -> SemilinearSet:
 
 
 def outcome_to_json(outcome: SolveOutcome) -> dict:
-    return outcome.to_json_dict()
+    return {
+        "status": outcome.status,
+        "assignment": outcome.assignment,
+        "bound": outcome.bound,
+        "bound_provenance": outcome.bound_provenance,
+        "budget": outcome.budget,
+        "method": outcome.method,
+    }
 
 
 def cancellation_to_json(cancellation) -> List[List[int]]:

@@ -41,7 +41,6 @@ from .group import (
     concat,
     cyclically_reduce,
     exponent_sums,
-    generator_index,
     invert_word,
     is_identity,
     reduce_word,
@@ -289,16 +288,6 @@ class SolveOutcome:
     budget: Optional[int] = None
     method: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "assignment": self.assignment,
-            "bound": self.bound,
-            "bound_provenance": self.bound_provenance,
-            "budget": self.budget,
-            "method": self.method,
-        }
-
 
 @dataclass(frozen=True)
 class SolverLimits:
@@ -350,7 +339,7 @@ def _sweep(eq: ExponentEquation, budget: int) -> Iterator[Dict[str, int]]:
 def _abelianize(eq: ExponentEquation) -> Tuple[List[Tuple[int, ...]], Tuple[int, ...]]:
     """Per distinct variable the exponent-sum column of its cycles, plus the
     right-hand side -sum over constants."""
-    index = generator_index(eq.alphabet)
+    index = eq.alphabet.positions
     columns = [
         exponent_sums(concat(*(c for c, v in zip(eq.cycles, eq.variables) if v == name)), index)
         for name in eq.distinct_names
@@ -367,10 +356,10 @@ def _papadimitriou_bound(columns, rhs, m: int) -> int:
     return n_vars * (m * a) ** (2 * m + 1)
 
 
-def _abelian_solution_set(eq: ExponentEquation) -> SemilinearSet:
-    """Exact solution set of the abelianized equation over N (empty iff the
-    exponent-sum system has no nonnegative solution)."""
-    columns, rhs = _abelianize(eq)
+def _abelian_solution_set(columns: List[Tuple[int, ...]], rhs: Tuple[int, ...]) -> SemilinearSet:
+    """Exact solution set over N of the abelianized equation given by
+    ``_abelianize`` (empty iff the exponent-sum system has no nonnegative
+    solution)."""
     r = len(columns)
     solutions = SemilinearSet((LinearSet.make((0,) * r, [
         tuple(1 if j == i else 0 for j in range(r)) for i in range(r)
@@ -403,7 +392,7 @@ def _solve_complete(eq: ExponentEquation, limits: SolverLimits) -> SolveOutcome:
             bound_provenance="no variables: constant part is nontrivial",
             method="abelian",
         )
-    solutions = _abelian_solution_set(eq)
+    solutions = _abelian_solution_set(columns, rhs)
     if solutions.is_empty():
         return SolveOutcome(
             UNSOLVABLE, bound=t,
@@ -476,7 +465,7 @@ def _decide_bounded_chain(
     """
     bounds = _bound_list(eq, bound)
     k = eq.k
-    index = generator_index(eq.alphabet)
+    index = eq.alphabet.positions
     z = [exponent_sums(cycle, index) for cycle in eq.cycles]
     # after row j (state j + 1), u_{j+1}^x v_{j+1} ... u_k^x v_k must cancel the
     # prefix: the negated sums of v_{j+1} .. v_k, the cycles left, their largest bound
@@ -567,7 +556,7 @@ def _abelian_precheck(eq: ExponentEquation) -> Optional[SolveOutcome]:
     """Unsolvable when the exponent-sum system has no solution over N.  The
     abelianization is a homomorphism, so this is sound for every alphabet
     class."""
-    if not _abelian_solution_set(eq).is_empty():
+    if not _abelian_solution_set(*_abelianize(eq)).is_empty():
         return None
     return SolveOutcome(
         UNSOLVABLE, bound=0,

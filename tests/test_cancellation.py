@@ -22,6 +22,7 @@ from graphknap import (
     word_from_strs,
 )
 from graphknap.cancellation import certified_solution, removal_threshold
+from graphknap.group import concat
 from graphknap.semilinear import members_up_to, semilinear_member
 
 F2 = validate_alphabet(["a", "b"], [])
@@ -59,6 +60,85 @@ def test_block_factorize_rejects_unpreprocessed():
     eq = eq_of(F2, ["", ""], ["a b a"], ["x"])  # same-factor ends
     with pytest.raises(EquationError):
         block_factorize(eq, (1,), SPLIT)
+
+
+# -- references: the pairwise well-nestedness test and the recursive peel ------
+
+
+def _crossing(a, b):
+    """True iff some i1 < j1 < i2 < j2 exists with i's in a and j's in b."""
+    a_sorted, b_sorted = sorted(a), sorted(b)
+    for j1 in b_sorted:
+        before = [i for i in a_sorted if i < j1]
+        after = [i for i in a_sorted if i > j1]
+        if before and after and b_sorted[-1] > min(after):
+            return True
+    return False
+
+
+def verify_reference(words, cancellation, split, alpha):
+    """The five axioms by their definitions, well-nestedness pair by pair."""
+    factors = [split.factor_of_word(w) for w in words]
+    m = len(words)
+    edges = [sorted(e) for e in cancellation]
+    covered = []
+    for e in edges:
+        if not e:
+            return False, "partition"
+        covered.extend(e)
+    if sorted(covered) != list(range(1, m + 1)):
+        return False, "partition"
+    for e in edges:
+        if len({factors[i - 1] for i in e}) > 1:
+            return False, "consistent"
+    for e in edges:
+        if not is_identity(concat(*(words[i - 1] for i in e)), alpha):
+            return False, "cancelling"
+    for e1, e2 in itertools.combinations(edges, 2):
+        if _crossing(e1, e2) or _crossing(e2, e1):
+            return False, "well-nested"
+    membership = {i: frozenset(e) for e in edges for i in e}
+    for i in range(1, m):
+        if factors[i - 1] == factors[i] and membership[i] != membership[i + 1]:
+            return False, "maximal"
+    return True, None
+
+
+def peel_reference(words, split, alpha):
+    """Peel the leftmost maximal same-factor run that multiplies to the
+    identity, recurse on the rest; None when no such run is left."""
+    items = [(i, w, split.factor_of_word(w)) for i, w in enumerate(words, 1)]
+
+    def recurse(items):
+        if not items:
+            return []
+        pos = 0
+        while pos < len(items):
+            end = pos
+            while end + 1 < len(items) and items[end + 1][2] == items[pos][2]:
+                end += 1
+            if is_identity(concat(*(items[t][1] for t in range(pos, end + 1))), alpha):
+                sub = recurse(items[:pos] + items[end + 1:])
+                if sub is None:
+                    return None
+                return sub + [frozenset(items[t][0] for t in range(pos, end + 1))]
+            pos = end + 1
+        return None
+
+    edges = recurse(items)
+    return None if edges is None else frozenset(edges)
+
+
+def set_partitions(items):
+    """Every set partition of ``items``, each as a list of blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for n in range(len(part)):
+            yield part[:n] + [[first] + part[n]] + part[n + 1:]
 
 
 RAW = [W("a"), W("b"), W("b^-1"), W("a^-1")]
@@ -126,6 +206,7 @@ def test_find_cancellation_iff_identity_exhaustive():
             word = sum(blocks, ())
             found = find_cancellation(blocks, SPLIT, F2)
             assert (found is not None) == is_identity(word, F2)
+            assert found == peel_reference(blocks, SPLIT, F2)
             if found is not None:
                 ok, axiom = verify_cancellation(blocks, found, SPLIT, F2)
                 assert ok, axiom
@@ -139,6 +220,32 @@ def test_find_cancellation_iff_identity_z2_star_z():
             word = sum(blocks, ())
             found = find_cancellation(blocks, SPLIT3, P3)
             assert (found is not None) == is_identity(word, P3)
+            assert found == peel_reference(blocks, SPLIT3, P3)
+
+
+def test_verify_cancellation_matches_pairwise_definition():
+    # with one-letter blocks alone an odd block count never gets past the
+    # cancelling axiom; a^-2 lets five blocks reach well-nested and maximal
+    words = [W("a"), W("a^-1"), W("b"), W("b^-1"), W("a^-1 a^-1")]
+    partitions = [
+        frozenset(frozenset(e) for e in part) for part in set_partitions([1, 2, 3, 4, 5])
+    ]
+    assert len(partitions) == 52
+    seen = set()
+    for combo in itertools.product(words, repeat=5):
+        blocks = list(combo)
+        for partition in partitions:
+            expected = verify_reference(blocks, partition, SPLIT, F2)
+            assert verify_cancellation(blocks, partition, SPLIT, F2) == expected
+            seen.add(expected[1])
+    assert seen == {"consistent", "cancelling", "well-nested", "maximal", None}
+
+
+def test_find_cancellation_thousand_nested_edges():
+    blocks = [W("a"), W("b")] * 500 + [W("b^-1"), W("a^-1")] * 500
+    found = find_cancellation(blocks, SPLIT, F2)
+    assert found == frozenset(frozenset({t, 2001 - t}) for t in range(1, 1001))
+    assert verify_cancellation(blocks, found, SPLIT, F2) == (True, None)
 
 
 MIXED_EQ = eq_of(F2, ["", "", ""], ["a b", "b^-1 a^-1"], ["x", "y"])
@@ -269,6 +376,14 @@ def test_solution_set_free_product_diagonal():
     s = solution_set(eq)
     assert members_up_to(s, 10) == {(t, t) for t in range(11)}
     assert magnitude(s) <= tameness_bound(eq).value
+
+
+def test_local_cover_large_mixed_solution():
+    cover = local_semilinear_cover(MIXED_EQ, (700, 700))
+    assert semilinear_member(cover, (700, 700))
+    assert all(c.periods for c in cover.components)
+    for member in members_up_to(cover, 50):
+        assert verify_solution(MIXED_EQ, dict(zip(MIXED_EQ.variables, member)))
 
 
 def test_local_cover_rejects_non_solution():
