@@ -385,8 +385,16 @@ def shrink(
     The removed blocks are a run of standard edges between the two chosen
     mixed cycles; the removed period stays compatible with the result.
     """
-    blocks = _verified_blocks(eq, exponents, cancellation, split)
-    split, x = blocks.split, blocks.exponents
+    step = _shrink_step(_verified_blocks(eq, exponents, cancellation, split), cancellation)
+    return None if step is None else step[:3]
+
+
+def _shrink_step(
+    blocks: BlockSequence, cancellation: Cancellation
+) -> Optional[Tuple[MixedPeriod, IntVector, Cancellation, BlockSequence]]:
+    """``shrink`` on blocks already verified against the cancellation; also
+    returns the verified blocks of the result."""
+    eq, split, x = blocks.eq, blocks.split, blocks.exponents
     threshold = removal_threshold(eq)
     counts = syllable_counts(eq, split)
     mixed = [i for i in range(eq.k) if counts[i] > 1]
@@ -455,8 +463,7 @@ def shrink(
     period = MixedPeriod(left_cycle, right_cycle, tuple(vec))
     shrunk = tuple(a - b for a, b in zip(x, vec))
     new_cancellation = frozenset(new_edges)
-    _verified_blocks(eq, shrunk, new_cancellation, split)
-    return period, shrunk, new_cancellation
+    return period, shrunk, new_cancellation, _verified_blocks(eq, shrunk, new_cancellation, split)
 
 
 # -- local semilinear cover -------------------------------------------------------
@@ -500,16 +507,16 @@ def local_semilinear_cover(
     if len(prepared.cycles) != len(eq.cycles):
         raise EquationError("equation has trivial cycles; preprocess it first")
     x_cur, c_cur = certified_solution(prepared, exponents, split)
+    blocks = _verified_blocks(prepared, x_cur, c_cur, split)
     while True:
-        step = shrink(prepared, x_cur, c_cur, split)
+        step = _shrink_step(blocks, c_cur)
         if step is None:
             break
-        _, x_cur, c_cur = step
+        _, x_cur, c_cur, blocks = step
 
     counts = syllable_counts(prepared, split)
     k = prepared.k
     simple = [i for i in range(k) if counts[i] == 1]
-    blocks = block_factorize(prepared, x_cur, split)
 
     # group the populated simple cycles by the edge holding their blocks
     edge_of: Dict[int, FrozenSet[int]] = {}

@@ -11,12 +11,19 @@ without a certificate (an infeasible abelianization or a complete sweep).
 Every bounded decision (the sweep, each deepening step, ``solve_within_bounds``)
 is membership of 1 in the chain automaton v0, then one power edge u_i^t v_i
 (t <= b_i) per cycle, decided by the reachability engine in ``automata`` with
-exact bounded abelian feasibility as its prune.
+exact bounded abelian feasibility (per-cycle bounds) as its prune.
+
+Enumerating every solution up to a bound (``brute_force_solutions``, subset
+sum, the search for repeated variables, the free-product solution sets) is
+one depth-first sweep over the rows, ``_sweep``: candidates share the geodesic
+of their common prefix, and a prefix longer than the letters the remaining
+rows can supply is cut.  Both are exact: the prefix geodesic is the one a
+from-scratch reduction builds, and appending m letters shortens a geodesic by
+at most m.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -38,6 +45,9 @@ from .group import (
     EMPTY_WORD,
     FreeProductSplit,
     GroupWord,
+    SignedLetter,
+    _check_letters,
+    append_reduced,
     concat,
     cyclically_reduce,
     exponent_sums,
@@ -325,12 +335,54 @@ def brute_force_solutions(
 
 def _sweep(eq: ExponentEquation, budget: int) -> Iterator[Dict[str, int]]:
     """Every solution with all exponents <= budget, as an assignment of the
-    distinct variable names, in lexicographic order."""
-    names = eq.distinct_names
-    for combo in itertools.product(range(budget + 1), repeat=len(names)):
-        assignment = dict(zip(names, combo))
-        if verify_solution(eq, assignment):
-            yield assignment
+    distinct variable names, in lexicographic order.
+
+    Depth first over the rows: the geodesic of h0 g1^x1 h1 ... gi^xi hi is
+    built once and shared by every candidate extending it; raising x_{i+1}
+    appends one more copy of g_{i+1}.  A row whose variable appeared earlier
+    takes that exponent, so with the first-appearing variable outermost the
+    order is that of ``itertools.product`` over the distinct names.  A prefix
+    is cut when its geodesic is longer than the letters the remaining rows can
+    still supply.  Both are exact: appending left to right builds the same
+    geodesic as reducing each candidate from scratch, and appending m letters
+    shortens a geodesic by at most m, so the cut loses no solution.  Letters
+    are checked once, up front.
+    """
+    alpha = eq.alphabet
+    for word in eq.constants + (eq.cycles if budget else ()):
+        _check_letters(word, alpha)
+    k, variables = eq.k, eq.variables
+    fresh = [variables.index(name) == i for i, name in enumerate(variables)]
+    # supply[i]: the most letters rows i+1 .. k can append after h_i
+    supply = [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        supply[i] = supply[i + 1] + budget * len(eq.cycles[i]) + len(eq.constants[i + 1])
+    values = dict.fromkeys(eq.distinct_names, 0)
+
+    def extend(i: int, buf: List[SignedLetter]) -> Iterator[Dict[str, int]]:
+        # buf is the geodesic of the prefix before h_i, owned by this call
+        for letter in eq.constants[i]:
+            append_reduced(buf, letter, alpha)
+        if len(buf) > supply[i]:
+            return
+        if i == k:
+            yield dict(values)
+            return
+        cycle, name = eq.cycles[i], variables[i]
+        room = len(eq.constants[i + 1]) + supply[i + 1]
+        done = 0
+        for t in range(budget + 1) if fresh[i] else (values[name],):
+            for _ in range(t - done):
+                for letter in cycle:
+                    append_reduced(buf, letter, alpha)
+            done = t
+            if len(buf) > room + (budget - t) * len(cycle):
+                break
+            if len(buf) <= room:
+                values[name] = t
+                yield from extend(i + 1, buf[:])
+
+    return extend(0, [])
 
 
 # -- the solver -------------------------------------------------------------------
@@ -411,8 +463,11 @@ def _solve_complete(eq: ExponentEquation, limits: SolverLimits) -> SolveOutcome:
                         bound_provenance="abelianization", method="abelian")
 
 
-def _abelian_feasible(target: Tuple[int, ...], zs: List[Tuple[int, ...]], bound: int) -> bool:
-    """Exact test for: some t in [0, bound]^r has sum_j t_j z_j == target."""
+def _abelian_feasible(
+    target: Tuple[int, ...], zs: List[Tuple[int, ...]], bounds: Sequence[int]
+) -> bool:
+    """Exact test for: some t with 0 <= t_j <= bounds[j] has
+    sum_j t_j z_j == target."""
     r = len(zs)
     if r == 0:
         return all(c == 0 for c in target)
@@ -425,7 +480,7 @@ def _abelian_feasible(target: Tuple[int, ...], zs: List[Tuple[int, ...]], bound:
         if num % den:
             return False
         t = num // den
-        return 0 <= t <= bound and all(t * a == c for a, c in zip(z, target))
+        return 0 <= t <= bounds[0] and all(t * a == c for a, c in zip(z, target))
     if r == 2:
         z1, z2 = zs
         m = len(target)
@@ -438,15 +493,15 @@ def _abelian_feasible(target: Tuple[int, ...], zs: List[Tuple[int, ...]], bound:
                     if n1 % det or n2 % det:
                         return False
                     t1, t2 = n1 // det, n2 // det
-                    if not (0 <= t1 <= bound and 0 <= t2 <= bound):
+                    if not (0 <= t1 <= bounds[0] and 0 <= t2 <= bounds[1]):
                         return False
                     return all(t1 * a + t2 * b == c for a, b, c in zip(z1, z2, target))
         if all(c == 0 for c in z1):
-            return _abelian_feasible(target, [z2], bound)
+            return _abelian_feasible(target, [z2], bounds[1:])
     z1 = zs[0]
-    for t1 in range(bound + 1):
+    for t1 in range(bounds[0] + 1):
         rest = tuple(c - t1 * a for c, a in zip(target, z1))
-        if _abelian_feasible(rest, zs[1:], bound):
+        if _abelian_feasible(rest, zs[1:], bounds[1:]):
             return True
     return False
 
@@ -468,16 +523,16 @@ def _decide_bounded_chain(
     index = eq.alphabet.positions
     z = [exponent_sums(cycle, index) for cycle in eq.cycles]
     # after row j (state j + 1), u_{j+1}^x v_{j+1} ... u_k^x v_k must cancel the
-    # prefix: the negated sums of v_{j+1} .. v_k, the cycles left, their largest bound
+    # prefix: the negated sums of v_{j+1} .. v_k, the cycles left, their bounds
     rest = [
         (tuple(-s for s in exponent_sums(concat(*eq.constants[j + 1:]), index)), z[j:],
-         max(bounds[j:], default=0))
+         bounds[j:])
         for j in range(k + 1)
     ]
 
     def feasible(state: int, sums: Tuple[int, ...]) -> bool:
-        neg_rest, zs, rest_bound = rest[state - 1]
-        return _abelian_feasible(tuple(map(sub, neg_rest, sums)), zs, rest_bound)
+        neg_rest, zs, rest_bounds = rest[state - 1]
+        return _abelian_feasible(tuple(map(sub, neg_rest, sums)), zs, rest_bounds)
 
     edges = [(0, EMPTY_WORD, 0, eq.constants[0], 1)] + [
         (i + 1, eq.cycles[i], bounds[i], eq.constants[i + 1], i + 2) for i in range(k)

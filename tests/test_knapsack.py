@@ -8,6 +8,7 @@ from graphknap import (
     ExponentEquation,
     FreeProductSplit,
     SolverLimits,
+    WordError,
     brute_force_solutions,
     decompose,
     knapsack_to_automaton,
@@ -24,7 +25,14 @@ from graphknap import (
     verify_solution,
     word_from_strs,
 )
-from graphknap.knapsack import _abelian_solution_set, _abelianize, _knapsack_automaton_with_roles
+from graphknap.group import invert_word
+from graphknap.knapsack import (
+    _abelian_feasible,
+    _abelian_solution_set,
+    _abelianize,
+    _knapsack_automaton_with_roles,
+    _sweep,
+)
 from graphknap.semilinear import members_up_to, semilinear_member
 
 Z1 = validate_alphabet(["a"], [])
@@ -312,3 +320,78 @@ def test_automaton_per_cycle_bounds_layout():
     aut = knapsack_to_automaton(eq, [2, 1])
     witness = membership_one(aut, F2)
     assert witness is not None
+
+
+SWEEP_ALPHABETS = {
+    "F2": F2,
+    "ZxF2": validate_alphabet(["z", "a", "b"], [["z", "a"], ["z", "b"]]),
+    "Z3": validate_alphabet(["a", "b", "c"], [["a", "b"], ["b", "c"], ["a", "c"]]),
+    "P4": P4,
+    "C4": validate_alphabet(["d", "b", "c", "a"], [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]]),
+}
+
+
+def _sweep_reference(eq, budget):
+    """The from-scratch enumeration: every candidate substituted and reduced."""
+    names = eq.distinct_names
+    for combo in itertools.product(range(budget + 1), repeat=len(names)):
+        assignment = dict(zip(names, combo))
+        if verify_solution(eq, assignment):
+            yield assignment
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_ALPHABETS))
+def test_sweep_matches_from_scratch_reference(name):
+    alpha = SWEEP_ALPHABETS[name]
+    rng = random.Random(f"sweep/{name}")
+    letters = list(alpha.generators) + [g + "^-1" for g in alpha.generators]
+
+    def rw(longest):
+        return W(" ".join(rng.choice(letters) for _ in range(rng.randint(0, longest))))
+
+    found = repeated = 0
+    for _ in range(120):
+        k = rng.randint(0, 3)
+        variables = tuple(rng.choice("xyz"[: rng.randint(1, 3)]) for _ in range(k))
+        cycles = tuple(rw(3) for _ in range(k))
+        constants = [rw(2) for _ in range(k + 1)]
+        if rng.random() < 0.5:
+            # plant a solution: the last constant cancels the prefix
+            planted = {v: rng.randint(0, 2) for v in variables}
+            prefix = ExponentEquation(alpha, tuple(constants[:-1]) + ((),), cycles, variables)
+            constants[-1] = invert_word(substitute(prefix, planted))
+        eq = ExponentEquation(alpha, tuple(constants), cycles, variables)
+        repeated += not eq.knapsack_shape
+        for budget in range(5):
+            expected = list(_sweep_reference(eq, budget))
+            assert list(_sweep(eq, budget)) == expected, (eq, budget)
+            found += len(expected)
+    assert found >= 100 and repeated >= 10
+
+
+def test_sweep_rejects_bad_sign_in_cycle():
+    eq = ExponentEquation(F2, ((), ()), ((("a", 2),),), ("x",))
+    for budget in (1, 3):
+        with pytest.raises(WordError):
+            brute_force_solutions(eq, budget)
+
+
+def test_abelian_feasible_matches_per_cycle_boxes():
+    rng = random.Random(2718)
+    checked = feasible = 0
+    for _ in range(400):
+        r = rng.randint(0, 3)
+        m = rng.randint(1, 3)
+        zs = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(r)]
+        bounds = [rng.randint(0, 3) for _ in range(r)]
+        reachable = {
+            tuple(sum(t * z[d] for t, z in zip(ts, zs)) for d in range(m))
+            for ts in itertools.product(*(range(b + 1) for b in bounds))
+        }
+        targets = list(reachable) + [tuple(rng.randint(-4, 4) for _ in range(m)) for _ in range(4)]
+        for target in targets:
+            expected = target in reachable
+            assert _abelian_feasible(target, zs, bounds) == expected, (target, zs, bounds)
+            checked += 1
+            feasible += expected
+    assert feasible >= 1000 and checked - feasible >= 500
