@@ -1,12 +1,15 @@
 """Exponent equations over graph groups and the dispatching solver.
 
 An exponent equation is h0 g1^x1 h1 ... gk^xk hk = 1 with exponents over N.
-Solving dispatches on the alphabet class: complete graphs go through
-abelianization and hyperplane decompositions (exact); non-complete transitive
-forests get an exact sweep up to the magnitude bound of their class when that
-bound is small enough, otherwise iterative deepening; general alphabets get
-the abelian precheck, then search only, so "unsolvable" is never claimed
-without a certificate (an infeasible abelianization or a complete sweep).
+Solving starts, on every alphabet class, with one abelian stage: the exact
+solution set of the abelianized equation (hyperplane decompositions) contains
+every solution.  An empty set is unsolvable; on complete graphs the set decides
+exactly; a finite set is decided by checking its points with the word problem
+(``abelian-pin``).  Otherwise non-complete transitive forests get an exact
+sweep up to the magnitude bound of their class when that bound is small
+enough, else iterative deepening, and general alphabets get search only, so
+"unsolvable" is never claimed without a certificate (an abelian one or a
+complete sweep).
 
 Every bounded decision (the sweep, each deepening step, ``solve_within_bounds``)
 is membership of 1 in the chain automaton v0, then one power edge u_i^t v_i
@@ -62,6 +65,7 @@ from .semilinear import (
     SemilinearSet,
     decompose_hyperplane_solutions,
     intersect_with_hyperplane,
+    magnitude,
     max_norm,
 )
 
@@ -399,15 +403,6 @@ def _abelianize(eq: ExponentEquation) -> Tuple[List[Tuple[int, ...]], Tuple[int,
     return columns, tuple(-s for s in exponent_sums(concat(*eq.constants), index))
 
 
-def _papadimitriou_bound(columns, rhs, m: int) -> int:
-    entries = [abs(c) for col in columns for c in col] + [abs(c) for c in rhs]
-    a = max(entries, default=0)
-    n_vars = len(columns)
-    if m == 0 or n_vars == 0:
-        return 0
-    return n_vars * (m * a) ** (2 * m + 1)
-
-
 def _abelian_solution_set(columns: List[Tuple[int, ...]], rhs: Tuple[int, ...]) -> SemilinearSet:
     """Exact solution set over N of the abelianized equation given by
     ``_abelianize`` (empty iff the exponent-sum system has no nonnegative
@@ -426,41 +421,52 @@ def _abelian_solution_set(columns: List[Tuple[int, ...]], rhs: Tuple[int, ...]) 
     return solutions
 
 
-def _solve_complete(eq: ExponentEquation, limits: SolverLimits) -> SolveOutcome:
-    columns, rhs = _abelianize(eq)
+def _finite_points(solutions: SemilinearSet, limits: SolverLimits) -> Optional[List[Tuple[int, ...]]]:
+    """The points of a finite abelian solution set in (sum, lex) order; None
+    when some component has a period or the points exceed the enumeration
+    cap."""
+    if any(c.periods for c in solutions.components):
+        return None
+    points = sorted({c.base for c in solutions.components}, key=lambda v: (sum(v), v))
+    return points if len(points) <= limits.enumeration_cap else None
+
+
+def _abelian_stage(eq: ExponentEquation, complete: bool, limits: SolverLimits) -> Optional[SolveOutcome]:
+    """Decide from the exact abelianized solution set, or return None.
+
+    The abelianization is a homomorphism, so every solution of ``eq`` is a
+    point of that set, on every graph: an empty set refutes the equation, and
+    a finite set leaves only its points to check by the word problem.  On a
+    complete graph the abelianization is an isomorphism, so the least base is
+    a solution.
+    """
     names = eq.distinct_names
-    r = len(names)
-    m = len(eq.alphabet.generators)
-    t = _papadimitriou_bound(columns, rhs, m)
-    if r == 0:
-        if all(c == 0 for c in rhs):
-            return SolveOutcome(
-                SOLVABLE, assignment=_full_assignment(eq, {}), bound=t,
-                bound_provenance="no variables: constant part is trivial",
-                method="abelian",
-            )
-        return SolveOutcome(
-            UNSOLVABLE, bound=0,
-            bound_provenance="no variables: constant part is nontrivial",
-            method="abelian",
-        )
-    solutions = _abelian_solution_set(columns, rhs)
+    solutions = _abelian_solution_set(*_abelianize(eq))
     if solutions.is_empty():
         return SolveOutcome(
-            UNSOLVABLE, bound=t,
-            bound_provenance="abelianization: hyperplane decomposition is exhaustive "
-            f"(integer-programming sweep bound {t})",
-            method="abelian",
+            UNSOLVABLE, bound=0,
+            bound_provenance="abelianized equation has no solution over the naturals",
+            method="abelian-precheck",
         )
-    witness = min((c.base for c in solutions.components), key=lambda v: (sum(v), v))
-    assignment = _full_assignment(eq, dict(zip(names, witness)))
-    assert verify_solution(eq, assignment)
-    # sanity cross-check: the integer-programming sweep bound must cover the
-    # least base of the exact decomposition
-    least_entry_bound = min(max_norm(c.base) for c in solutions.components)
-    assert least_entry_bound <= t
-    return SolveOutcome(SOLVABLE, assignment=assignment, bound=t,
-                        bound_provenance="abelianization", method="abelian")
+    if complete:
+        witness = min((c.base for c in solutions.components), key=lambda v: (sum(v), v))
+        assignment = _full_assignment(eq, dict(zip(names, witness)))
+        assert verify_solution(eq, assignment)
+        return SolveOutcome(SOLVABLE, assignment=assignment, bound=magnitude(solutions),
+                            bound_provenance="abelianization", method="abelian")
+    points = _finite_points(solutions, limits)
+    if points is None:
+        return None
+    bound, n = magnitude(solutions), len(points)
+    for point in points:
+        assignment = _full_assignment(eq, dict(zip(names, point)))
+        if verify_solution(eq, assignment):
+            return SolveOutcome(
+                SOLVABLE, assignment=assignment, bound=bound, method="abelian-pin",
+                bound_provenance=f"least of {n} abelian solutions to pass the word problem",
+            )
+    return SolveOutcome(UNSOLVABLE, bound=bound, method="abelian-pin",
+                        bound_provenance=f"all {n} abelian solutions fail the word problem")
 
 
 def _abelian_feasible(
@@ -554,12 +560,10 @@ def solve_within_bounds(
     returns a verified assignment or None.  Needs pairwise distinct variables."""
     if not eq.knapsack_shape:
         raise EquationError("bounded decision needs pairwise distinct variables")
+    bounds = _bound_list(eq, bound)
     eq2 = preprocess(eq)
-    bounds = bound
-    if not isinstance(bound, int):
-        kept = [i for i, name in enumerate(eq.variables) if name in eq2.variables]
-        bounds = [bound[i] for i in kept]
-    found = _decide_bounded_chain(eq2, bounds, limits)
+    kept = [i for i, name in enumerate(eq.variables) if name in eq2.variables]
+    found = _decide_bounded_chain(eq2, [bounds[i] for i in kept], limits)
     if found is None:
         return None
     assignment = _full_assignment(eq2, found)
@@ -607,33 +611,16 @@ def _solve_by_search(
         budget = min(nxt, ceiling)
 
 
-def _abelian_precheck(eq: ExponentEquation) -> Optional[SolveOutcome]:
-    """Unsolvable when the exponent-sum system has no solution over N.  The
-    abelianization is a homomorphism, so this is sound for every alphabet
-    class."""
-    if not _abelian_solution_set(*_abelianize(eq)).is_empty():
-        return None
-    return SolveOutcome(
-        UNSOLVABLE, bound=0,
-        bound_provenance="abelianized equation has no solution over the naturals",
-        method="abelian-precheck",
-    )
-
-
-def _solve_transitive_forest(eq: ExponentEquation, limits: SolverLimits) -> SolveOutcome:
-    tree = decompose(eq.alphabet)
-    split = split_for_alphabet(eq.alphabet, tree) if isinstance(tree, FreeProduct) else None
-    eq2 = preprocess(eq, split)
-    refuted = _abelian_precheck(eq2)
-    if refuted is not None:
-        return refuted
-    bound = tameness_bound(eq2, tree).value
-    k = eq2.k
-    if eq2.knapsack_shape and (k + 2) * (bound + 1) <= limits.automaton_states:
+def _solve_transitive_forest(
+    eq: ExponentEquation, tree: DecompositionNode, limits: SolverLimits
+) -> SolveOutcome:
+    bound = tameness_bound(eq, tree).value
+    k = eq.k
+    if eq.knapsack_shape and (k + 2) * (bound + 1) <= limits.automaton_states:
         try:
-            found = _decide_bounded_chain(eq2, bound, limits)
+            found = _decide_bounded_chain(eq, bound, limits)
         except ResourceExhaustedError:
-            return _solve_by_search(eq2, limits, None, method="search(after sweep cap)")
+            return _solve_by_search(eq, limits, None, method="search(after sweep cap)")
         if found is None:
             return SolveOutcome(
                 UNSOLVABLE, bound=bound,
@@ -641,32 +628,27 @@ def _solve_transitive_forest(eq: ExponentEquation, limits: SolverLimits) -> Solv
                 "are never needed for solvability)",
                 method="certified-sweep",
             )
-        assignment = _full_assignment(eq2, found)
-        assert verify_solution(eq2, assignment)
+        assignment = _full_assignment(eq, found)
+        assert verify_solution(eq, assignment)
         return SolveOutcome(SOLVABLE, assignment=assignment, bound=bound,
                             bound_provenance="tameness bound", method="certified-sweep")
-    certified = bound if eq2.knapsack_shape else None
-    return _solve_by_search(eq2, limits, certified, method="search")
+    certified = bound if eq.knapsack_shape else None
+    return _solve_by_search(eq, limits, certified, method="search")
 
 
 def solve(eq: ExponentEquation, limits: SolverLimits = DEFAULT_LIMITS) -> SolveOutcome:
     """Decide solvability over N. Every Solvable outcome carries a verified
     assignment; Unsolvable is only reported with a completeness certificate."""
-    graph_class = classify(eq.alphabet)
-    if graph_class.kind == TRANSITIVE_FOREST_NOT_COMPLETE:
-        return _solve_transitive_forest(eq, limits)
-    eq2 = preprocess(eq)
-    if graph_class.kind == COMPLETE:
-        return _solve_complete(eq2, limits)
-    # general alphabet: the abelian precheck, then search
-    if not eq2.cycles:
-        if is_identity(eq2.constants[0], eq2.alphabet):
-            return SolveOutcome(SOLVABLE, assignment=_full_assignment(eq2, {}),
-                                bound=0, bound_provenance="no variables", method="search")
-        return SolveOutcome(UNSOLVABLE, bound=0,
-                            bound_provenance="no variables: constant part is nontrivial",
-                            method="search")
-    return _abelian_precheck(eq2) or _solve_by_search(eq2, limits, None, method="search")
+    kind = classify(eq.alphabet).kind
+    tree = decompose(eq.alphabet) if kind == TRANSITIVE_FOREST_NOT_COMPLETE else None
+    split = split_for_alphabet(eq.alphabet, tree) if isinstance(tree, FreeProduct) else None
+    eq2 = preprocess(eq, split)
+    decided = _abelian_stage(eq2, kind == COMPLETE, limits)
+    if decided is not None:
+        return decided
+    if tree is not None:
+        return _solve_transitive_forest(eq2, tree, limits)
+    return _solve_by_search(eq2, limits, None, method="search")
 
 
 def solve_subset_sum(eq: ExponentEquation, limits: SolverLimits = DEFAULT_LIMITS) -> SolveOutcome:
@@ -772,9 +754,10 @@ def solution_set(
     transitive forests with pairwise distinct variables.
 
     Exact for alphabets whose decomposition stacks integer factors (trivial
-    and direct-product nodes); at free-product nodes the set is assembled from
-    local covers of the solutions found up to the tameness bound, which keeps
-    every returned vector a genuine solution.
+    and direct-product nodes) and at free-product nodes whose abelian solution
+    set is finite (its verified points); at other free-product nodes the set is
+    assembled from local covers of the solutions found up to the tameness
+    bound, which keeps every returned vector a genuine solution.
     """
     if not eq.knapsack_shape:
         raise EquationError("solution_set needs pairwise distinct variables")
@@ -821,10 +804,18 @@ def _solution_set_node(
             core = intersect_with_hyperplane(base_set, z, y, bound_m)
         return _cylinderize(core, kept, k)
 
-    # free product: assemble from local covers over bounded base solutions
+    # free product: a finite abelian set pins the solutions; otherwise assemble
+    # from local covers over bounded base solutions
     from .cancellation import local_semilinear_cover
 
     prepared = preprocess(reduced, split_for_alphabet(alpha, node))
+    points = _finite_points(_abelian_solution_set(*_abelianize(prepared)), limits)
+    if points is not None:
+        core = SemilinearSet(tuple(
+            LinearSet.make(p, ()) for p in points
+            if verify_solution(prepared, dict(zip(prepared.variables, p)))
+        ))
+        return _cylinderize(core, kept, k)
     bound = tameness_bound(prepared, node).value
     if bound > limits.cover_base_cap:
         raise ResourceExhaustedError(

@@ -93,18 +93,32 @@ def test_solve_subsetsum_mode(capsys, instance_file):
 
 
 def test_solve_unknown_exit_code(capsys, tmp_path):
+    p4 = {"generators": ["a", "b", "c", "d"], "edges": [["a", "b"], ["b", "c"], ["c", "d"]]}
+    # [a,d]^x [a,d]^y [d,a]^5: solvable with x + y = 5, but the abelian set is
+    # infinite and search stops at the ceiling
     path = tmp_path / "p4inst.json"
     path.write_text(json.dumps({
-        "alphabet": {"generators": ["a", "b", "c", "d"],
-                     "edges": [["a", "b"], ["b", "c"], ["c", "d"]]},
+        "alphabet": p4,
+        "constants": [[], [], ["d", "a", "d^-1", "a^-1"] * 5],
+        "cycles": [["a", "d", "a^-1", "d^-1"]] * 2,
+        "variables": ["x", "y"],
+        "mode": "knapsack",
+    }))
+    code, payload = _run(capsys, ["solve", "-i", str(path), "--ceiling", "2"])
+    assert code == 2
+    assert payload["status"] == "unknown"
+    # a^x a^-5: the abelian set is the one point x = 5, which verifies
+    path.write_text(json.dumps({
+        "alphabet": p4,
         "constants": [[], ["a^-1", "a^-1", "a^-1", "a^-1", "a^-1"]],
         "cycles": [["a"]],
         "variables": ["x"],
         "mode": "knapsack",
     }))
     code, payload = _run(capsys, ["solve", "-i", str(path), "--ceiling", "2"])
-    assert code == 2
-    assert payload["status"] == "unknown"
+    assert code == 0
+    assert payload["status"] == "solvable" and payload["method"] == "abelian-pin"
+    assert payload["assignment"] == {"x": 5}
 
 
 def test_solve_json_names_method_and_provenance(capsys, tmp_path):

@@ -18,6 +18,7 @@ from graphknap import (
     solve,
     solve_integer_valued,
     solve_subset_sum,
+    solve_within_bounds,
     substitute,
     tameness_bound,
     tameness_bound_value,
@@ -127,9 +128,13 @@ def test_solve_repeated_variables_forced_equal():
 
 
 def test_solve_repeated_variables_never_claims_unsolvable_on_forest():
-    # a^x b^x = b a has no solution, but with a repeated variable there is no
-    # magnitude certificate, so the verdict must stay open
+    # a^x b^x = b a: the abelianization pins x = 1, which fails the word problem
     eq = eq_of(F2, ["", "", "a^-1 b^-1"], ["a", "b"], ["x", "x"])
+    out = solve(eq, SolverLimits(search_ceiling=8))
+    assert out.status == "unsolvable" and out.method == "abelian-pin"
+    # [a,b]^x [a,b]^x = [a,b] has no solution, but its abelian set is infinite
+    # and a repeated variable has no magnitude certificate, so it stays open
+    eq = eq_of(F2, ["", "", "b a b^-1 a^-1"], ["a b a^-1 b^-1"] * 2, ["x", "x"])
     out = solve(eq, SolverLimits(search_ceiling=8))
     assert out.status == "unknown"
 
@@ -185,6 +190,13 @@ def test_automaton_rejects_repeated_variables():
     eq = eq_of(F2, ["", "", ""], ["a", "b"], ["x", "x"])
     with pytest.raises(EquationError):
         knapsack_to_automaton(eq, 2)
+    # per-cycle bounds are checked against the caller's cycles, also the
+    # trivial ones that preprocessing drops
+    eq = eq_of(F2, ["", "", ""], ["a", "b"], ["x", "y"])
+    dropped = eq_of(F2, ["", "", ""], ["a", "b b^-1"], ["x", "y"])
+    for bad_eq, bounds in [(eq, [1]), (eq, [1, 1, 1]), (eq, [1, 1, -3]), (dropped, [1, -1])]:
+        with pytest.raises(EquationError):
+            solve_within_bounds(bad_eq, bounds)
 
 
 def _random_equation(rng, alpha, k, word_len):
@@ -249,8 +261,17 @@ def test_general_alphabet_never_unsolvable():
         out = solve(eq, SolverLimits(search_ceiling=4))
         if out.status == "unsolvable":
             if preprocess(eq).cycles:
-                assert out.method == "abelian-precheck"
-                assert _abelian_solution_set(*_abelianize(preprocess(eq))).is_empty()
+                assert out.method in ("abelian-precheck", "abelian-pin")
+                abelian = _abelian_solution_set(*_abelianize(preprocess(eq)))
+                if out.method == "abelian-precheck":
+                    assert abelian.is_empty()
+                else:
+                    # a finite abelian set whose every point fails the word problem
+                    names = preprocess(eq).distinct_names
+                    assert not any(c.periods for c in abelian.components)
+                    assert not any(
+                        verify_solution(eq, dict(zip(names, c.base))) for c in abelian.components
+                    )
                 assert not brute_force_solutions(eq, 3)
         else:
             assert out.status in ("solvable", "unknown")
@@ -395,3 +416,31 @@ def test_abelian_feasible_matches_per_cycle_boxes():
             checked += 1
             feasible += expected
     assert feasible >= 1000 and checked - feasible >= 500
+
+
+def test_abelian_verdicts_match_brute_force():
+    # every solution is a point of the abelian solution set, and an abelian or
+    # pinned outcome's bound covers the least solution (or every point), so
+    # brute force up to that bound decides the instance on its own
+    rng = random.Random(1729)
+    pinned = {"solvable": 0, "unsolvable": 0}
+    for name in ["F2", "ZxF2", "P4", "C4", "Z2"]:
+        alpha = SWEEP_ALPHABETS.get(name, Z2)
+        letters = list(alpha.generators) + [g + "^-1" for g in alpha.generators]
+
+        def rw(longest):
+            return W(" ".join(rng.choice(letters) for _ in range(rng.randint(0, longest))))
+
+        for _ in range(150):
+            k = rng.randint(0, 3)
+            eq = ExponentEquation(
+                alpha, tuple(rw(3) for _ in range(k + 1)), tuple(rw(2) for _ in range(k)),
+                tuple(f"x{i}" for i in range(k)),
+            )
+            out = solve(eq, SolverLimits(search_ceiling=4))
+            if out.method in ("abelian", "abelian-pin") and out.bound <= 8:
+                solutions = brute_force_solutions(eq, out.bound)
+                assert bool(solutions) == (out.status == "solvable"), (name, eq)
+                if out.method == "abelian-pin":
+                    pinned[out.status] += 1
+    assert pinned["solvable"] and pinned["unsolvable"], pinned
