@@ -11,30 +11,32 @@ search over pairs (state, canonical geodesic) along power edges u^t v.
 solver runs it on the chain of an equation's rows.
 
 The engine keeps its normal form incrementally (Cartier-Foata levels, as in
-Diekert and Rozenberg, The Book of Traces, 1995).  A prefix being extended
-holds its geodesic, the level of each letter and each generator's top level;
-a stored prefix keeps only its key and the top levels.  An appended letter
-either cancels its visible inverse, which is maximal in the trace, so no
-other level moves, or lands at one more than the top level of the generators
-it depends on.  The key that deduplicates prefixes is one sort of the integer
-codes level * width + letter code; no prefix is re-canonicalised.  Power
+Diekert and Rozenberg, The Book of Traces, 1995) and only as integers.  A
+prefix is the sorted list of its codes level * width + letter code, which is
+at once the key that deduplicates prefixes and a valid order of its geodesic,
+plus each generator's top level.  An appended letter either cancels the last
+letter of its generator, when that letter is its inverse and no dependent
+generator reaches above it (it is then maximal in the trace, so no other
+level moves), or lands at one more than the top level of the generators it
+depends on.  No prefix is decoded into letters or re-canonicalised.  Power
 edges are read sums first: the abelian prune needs only exponent sums, so a
 t is tested before any copy of u is appended for it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from operator import add, le, neg
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .alphabet import IndependenceAlphabet
-from .errors import AutomatonError, ResourceExhaustedError, WordError
+from .alphabet import DependenceTables, IndependenceAlphabet
+from .errors import AutomatonError, ResourceExhaustedError
 from .group import (
     EMPTY_WORD,
     GroupWord,
-    append_reduced,
+    _check_letters,
     concat,
     exponent_sums,
     is_identity,
@@ -160,65 +162,38 @@ PowerEdge = Tuple[int, GroupWord, int, GroupWord, int]
 Feasible = Callable[[int, Tuple[int, ...]], bool]
 
 
-class _FoataGeodesic:
-    """A geodesic kept with the Foata level of each of its letters.
+def _extend(codes: List[int], top: List[int], word: Sequence, tables: DependenceTables) -> None:
+    """Append the letters of ``word`` to a geodesic held as its Foata codes.
 
-    ``letters`` is the geodesic in the order it was built, and ``codes[i]``
-    is level * width + the code of ``letters[i]``; the letter codes, and
-    their count ``width``, come from ``alpha.dependence()``.  ``top[g]`` is
-    one more than the highest level of generator id g (0 when g is absent).
-    Sorting the codes lists the letters level by level, by name within a
-    level and positive first: exactly ``canonical_order`` of the geodesic, so
-    the sorted codes are a canonical key for the group element.
+    ``codes`` is sorted and lists level * width + letter code for each letter
+    of the geodesic (the letter codes, and their count ``width``, come from
+    ``tables``), so it is both the canonical key of the group element and a
+    valid order of the geodesic.  ``top[g]`` is one more than the highest
+    level of generator id g (0 when g is absent).  The last g-letter is
+    maximal in the trace exactly when no generator g depends on, g included,
+    reaches above it; then a letter cancels it if it is its inverse, and no
+    other level moves.  Otherwise the letter lands one level above the
+    highest level among the generators it depends on.
     """
-
-    __slots__ = ("alpha", "letters", "codes", "top")
-
-    def __init__(self, alpha: IndependenceAlphabet, letters: list, codes: list, top: list):
-        self.alpha = alpha
-        self.letters = letters
-        self.codes = codes
-        self.top = top
-
-    @classmethod
-    def from_key(
-        cls, alpha: IndependenceAlphabet, key: Tuple[int, ...], top: Sequence[int]
-    ) -> "_FoataGeodesic":
-        """The geodesic of ``key``, in canonical order, with its ``top``."""
-        by_code = alpha.dependence().letters
-        letters = list(map(by_code.__getitem__, map(len(by_code).__rmod__, key)))
-        return cls(alpha, letters, list(key), list(top))
-
-    def copy(self) -> "_FoataGeodesic":
-        return _FoataGeodesic(self.alpha, self.letters[:], self.codes[:], self.top[:])
-
-    def key(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.codes))
-
-    def extend(self, word: Sequence) -> None:
-        """Append the letters of ``word`` one at a time.  A letter either
-        cancels its visible inverse, which is then maximal in the trace, so no
-        other level moves, or lands one level above the highest level among
-        the generators it depends on."""
-        alpha = self.alpha
-        ids, dependents, code, by_code = alpha.dependence()
-        width = len(by_code)
-        letters, codes, top = self.letters, self.codes, self.top
-        for letter in word:
-            pos = append_reduced(letters, letter, alpha)
-            gen = letter[0]
-            gid = ids[gen]
-            if pos < 0:
-                level = max(map(top.__getitem__, dependents[gid]))
-                codes.append(level * width + code[letter])
-                top[gid] = level + 1
+    _, dependents, code, by_code = tables
+    width = len(by_code)
+    for letter in word:
+        c = code[letter]
+        gid = c >> 1
+        level = max(map(top.__getitem__, dependents[gid]))
+        if level and top[gid] == level:
+            partner = (level - 1) * width + (c ^ 1)
+            pos = bisect_left(codes, partner)
+            if pos < len(codes) and codes[pos] == partner:
+                del codes[pos]
+                top[gid] = 0
+                for j in range(pos - 1, -1, -1):
+                    if codes[j] % width >> 1 == gid:
+                        top[gid] = codes[j] // width + 1
+                        break
                 continue
-            del codes[pos]
-            top[gid] = 0
-            for j in range(pos - 1, -1, -1):
-                if letters[j][0] == gen:
-                    top[gid] = codes[j] // width + 1
-                    break
+        insort(codes, level * width + c)
+        top[gid] = level + 1
 
 
 def _reach_one(
@@ -240,8 +215,8 @@ def _reach_one(
     length L needs at least L further letters to cancel) or when ``feasible``
     rejects its exponent sums.  The sums of u^t v need no word, so they are
     tested first for each t, and copies of ``u`` are appended only up to a t
-    that passes.  Each prefix carries the Foata levels of its geodesic
-    (``_FoataGeodesic``), so its key costs one sort, not a normal form.
+    that passes.  A prefix is extended from a copy of its key and its top
+    levels (``_extend``), and the sorted codes it ends with are the key.
     Returns the witness as (edge index, t) pairs, or None.  Raises
     ResourceExhaustedError past ``node_cap`` stored prefixes.
     """
@@ -263,6 +238,7 @@ def _reach_one(
         return []
 
     index = alpha.positions
+    tables = alpha.dependence()
     edge_sums = [(exponent_sums(u, index), exponent_sums(v, index)) for _, u, _, v, _ in edges]
     # per state: canonical key -> (its exponent sums, its top levels, key at
     # the edge's source, edge index, t); the initial key has no source
@@ -284,7 +260,6 @@ def _reach_one(
 
     for q in order:
         for key, (base, top, _, _, _) in parents[q].items():
-            start = None
             for idx in outgoing[q]:
                 _, u, b, v, dst = edges[idx]
                 room = longest[dst]
@@ -292,30 +267,31 @@ def _reach_one(
                     continue
                 su, sv = edge_sums[idx]
                 sums = tuple(map(add, base, sv))
-                power = None  # the geodesic with ``done`` copies of u appended
+                codes = None  # the geodesic with ``done`` copies of u appended
                 done = 0
                 for t in range(b + 1):
                     if t:
                         sums = tuple(map(add, sums, su))
                     if feasible is not None and not feasible(dst, sums):
                         continue
-                    if power is None:
-                        if start is None:
-                            start = _FoataGeodesic.from_key(alpha, key, top)
-                        power = start.copy()
+                    if codes is None:
+                        codes, levels = list(key), list(top)
                     if t > done:
-                        power.extend(u * (t - done))
+                        _extend(codes, levels, u * (t - done), tables)
                         done = t
-                    word = power.copy() if t < b else power
-                    word.extend(v)
-                    if feasible is not None and len(word.letters) > room:
+                    if t < b:
+                        word, word_top = codes[:], levels[:]
+                    else:
+                        word, word_top = codes, levels
+                    _extend(word, word_top, v, tables)
+                    if feasible is not None and len(word) > room:
                         continue
-                    if not word.letters and dst in finals:
+                    if not word and dst in finals:
                         return witness(q, key) + [(idx, t)]
-                    nf = word.key()
+                    nf = tuple(word)
                     if nf in parents[dst]:
                         continue
-                    parents[dst][nf] = (sums, tuple(word.top), key, idx, t)
+                    parents[dst][nf] = (sums, tuple(word_top), key, idx, t)
                     stored += 1
                     if stored > node_cap:
                         raise ResourceExhaustedError(
@@ -362,9 +338,7 @@ def membership_one(
     lets callers supply an alternative topological order.
     """
     for _, label, _ in automaton.transitions:
-        for gen, _ in label:
-            if gen not in alpha:
-                raise WordError(f"unknown generator {gen!r} in a transition label")
+        _check_letters(label, alpha)
     evidence = check_acyclic(automaton)
     if not evidence.acyclic:
         raise AutomatonError(f"automaton has a cycle through {evidence.cycle}")
@@ -407,21 +381,24 @@ def membership_one_brute(
     outgoing: Dict[int, List[Tuple[GroupWord, int]]] = {q: [] for q in range(automaton.n_states)}
     for src, label, dst in automaton.transitions:
         outgoing[src].append((label, dst))
+    # depth-first in transition order; each entry: a prefix and its state's unread edges
     count = 0
-
-    def dfs(state: int, prefix: GroupWord) -> bool:
-        nonlocal count
+    stack = [(EMPTY_WORD, iter(((EMPTY_WORD, automaton.initial),)))]
+    while stack:
+        prefix, pending = stack[-1]
+        step = next(pending, None)
+        if step is None:
+            stack.pop()
+            continue
+        label, state = step
+        word = concat(prefix, label)
         count += 1
         if count > path_cap:
             raise ResourceExhaustedError(f"path enumeration exceeded {path_cap} nodes")
-        if state in automaton.finals and is_identity(prefix, alpha):
+        if state in automaton.finals and is_identity(word, alpha):
             return True
-        for label, dst in outgoing[state]:
-            if dfs(dst, concat(prefix, label)):
-                return True
-        return False
-
-    return dfs(automaton.initial, ())
+        stack.append((word, iter(outgoing[state])))
+    return False
 
 
 def unroll_loops(automaton: WordAutomaton, budget: int) -> WordAutomaton:

@@ -7,11 +7,12 @@ made adjacent by commutations (valid for every alphabet), and
 decomposition tree (transitive forests only).  The two are cross-checked
 exhaustively in the test suite.
 
-``append_reduced`` is the one cancellation scan: ``is_identity``,
-``reduce_word`` and the reachability engine in ``automata`` all build
-geodesics through it.  It walks back over the letters in the alphabet's
-``commuting`` table and tells the caller which position it cancelled, so the
-engine can keep Foata levels beside the geodesic; ``is_identity`` keeps none.
+``append_reduced`` is the cancellation scan over letters: ``is_identity``,
+``reduce_word``, the bounded sweep in ``knapsack`` and the local cover in
+``cancellation`` build geodesics through it.  It walks back over the letters
+in the alphabet's ``commuting`` table.  The reachability engine in
+``automata`` scans no letters: it keeps a geodesic as sorted Foata codes and
+reads cancellation off each generator's top level.
 ``canonical_order`` is the step form of a geodesic, scheduled with the
 alphabet's dependence tables.
 """
@@ -94,10 +95,7 @@ def _check_letters(word: Sequence[SignedLetter], alpha: IndependenceAlphabet) ->
 def append_reduced(buf: List[SignedLetter], letter: SignedLetter, alpha: IndependenceAlphabet) -> int:
     """Append one letter to a geodesic buffer, cancelling when an inverse
     partner is visible through commuting letters (in place).  Returns the
-    index the cancelled partner had, or -1 when the letter was appended.
-
-    This is the one cancellation scan of the package: ``is_identity``,
-    ``reduce_word`` and the reachability engine all append through it."""
+    index the cancelled partner had, or -1 when the letter was appended."""
     gen, sign = letter
     commuting = alpha.commuting[gen]
     i = len(buf) - 1

@@ -536,9 +536,17 @@ def _decide_bounded_chain(
         for j in range(k + 1)
     ]
 
+    # many prefixes share their sums, so each (state, sums) is decided once
+    memo: Dict[Tuple[int, Tuple[int, ...]], bool] = {}
+
     def feasible(state: int, sums: Tuple[int, ...]) -> bool:
-        neg_rest, zs, rest_bounds = rest[state - 1]
-        return _abelian_feasible(tuple(map(sub, neg_rest, sums)), zs, rest_bounds)
+        found = memo.get((state, sums))
+        if found is None:
+            neg_rest, zs, rest_bounds = rest[state - 1]
+            found = memo[state, sums] = _abelian_feasible(
+                tuple(map(sub, neg_rest, sums)), zs, rest_bounds
+            )
+        return found
 
     edges = [(0, EMPTY_WORD, 0, eq.constants[0], 1)] + [
         (i + 1, eq.cycles[i], bounds[i], eq.constants[i + 1], i + 2) for i in range(k)

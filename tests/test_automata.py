@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import itemgetter
 
 import pytest
 
@@ -16,10 +17,22 @@ from graphknap import (
     validate_alphabet,
     word_from_strs,
 )
-from graphknap.automata import _FoataGeodesic
-from graphknap.group import reduce_word
+from graphknap.automata import _extend
+from graphknap.group import append_reduced, reduce_word
+from graphknap.trace import step_sequence
 
 F2 = validate_alphabet(["a", "b"], [])
+
+ENGINE_ALPHABETS = {
+    "P4": validate_alphabet(["a", "b", "c", "d"], [["a", "b"], ["b", "c"], ["c", "d"]]),
+    # generators out of name order, so ids (name order) differ from input order
+    "C4": validate_alphabet(["d", "b", "c", "a"], [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]]),
+    "F2": validate_alphabet(["b", "a"], []),
+    "ZxF2": validate_alphabet(["z", "a", "b"], [["z", "a"], ["z", "b"]]),
+    "Z3": validate_alphabet(["a", "b", "c"], [["a", "b"], ["b", "c"], ["a", "c"]]),
+}
+# F2 first, with its original letters, then alphabets where letters commute
+SEARCH_ALPHABETS = (("F2", F2), *((n, ENGINE_ALPHABETS[n]) for n in ("P4", "C4", "ZxF2")))
 
 
 def W(text):
@@ -99,8 +112,8 @@ def test_membership_unreachable_final():
     assert not membership_one_brute(aut, F2)
 
 
-def _random_acyclic(rng, n_states, n_transitions, max_label):
-    letters = ["a", "b", "a^-1", "b^-1"]
+def _random_acyclic(rng, n_states, n_transitions, max_label, alpha=F2):
+    letters = list(alpha.generators) + [g + "^-1" for g in alpha.generators]
     transitions = []
     for _ in range(n_transitions):
         src = rng.randrange(n_states - 1)
@@ -111,10 +124,11 @@ def _random_acyclic(rng, n_states, n_transitions, max_label):
 
 
 def test_membership_matches_brute_randomized():
-    rng = random.Random(12345)
-    for _ in range(100):
-        aut = _random_acyclic(rng, rng.randint(2, 6), rng.randint(1, 7), 3)
-        assert (membership_one(aut, F2) is not None) == membership_one_brute(aut, F2)
+    for name, alpha in SEARCH_ALPHABETS:
+        rng = random.Random(12345 if name == "F2" else f"brute-{name}")
+        for _ in range(100):
+            aut = _random_acyclic(rng, rng.randint(2, 6), rng.randint(1, 7), 3, alpha)
+            assert (membership_one(aut, alpha) is not None) == membership_one_brute(aut, alpha)
 
 
 def test_membership_independent_of_topological_order():
@@ -131,18 +145,31 @@ def test_membership_independent_of_topological_order():
 
 
 def test_membership_prune_does_not_change_answers():
-    rng = random.Random(4321)
-    for _ in range(60):
-        aut = _random_acyclic(rng, rng.randint(2, 6), rng.randint(1, 7), 3)
-        assert (membership_one(aut, F2, prune=True) is not None) == (
-            membership_one(aut, F2, prune=False) is not None
-        )
+    for name, alpha in SEARCH_ALPHABETS:
+        rng = random.Random(4321 if name == "F2" else f"prune-{name}")
+        for _ in range(60):
+            aut = _random_acyclic(rng, rng.randint(2, 6), rng.randint(1, 7), 3, alpha)
+            assert (membership_one(aut, alpha, prune=True) is not None) == (
+                membership_one(aut, alpha, prune=False) is not None
+            )
 
 
 def test_membership_rejects_foreign_letters():
     aut = WordAutomaton(2, 0, frozenset({1}), ((0, W("a z z^-1 a^-1"), 1),))
     with pytest.raises(WordError):
         membership_one(aut, F2)
+    bad_sign = WordAutomaton(2, 0, frozenset({1}), ((0, (("a", 2),), 1),))
+    with pytest.raises(WordError):
+        membership_one(bad_sign, F2)
+
+
+@pytest.mark.parametrize("n_states", [1001, 1201])
+def test_membership_brute_long_chain(n_states):
+    # deeper than the interpreter's default recursion limit
+    transitions = tuple((q, W("a" if q % 2 == 0 else "a^-1"), q + 1) for q in range(n_states - 1))
+    aut = WordAutomaton(n_states, 0, frozenset({n_states - 1}), transitions)
+    expected = membership_one(aut, F2) is not None
+    assert membership_one_brute(aut, F2) == expected == (n_states % 2 == 1)
 
 
 def test_membership_node_cap():
@@ -207,30 +234,60 @@ def test_unroll_language_sizes_multiply_along_chain():
 
 # -- the engine's incremental Foata form ---------------------------------------
 
-ENGINE_ALPHABETS = {
-    "P4": validate_alphabet(["a", "b", "c", "d"], [["a", "b"], ["b", "c"], ["c", "d"]]),
-    # generators out of name order, so ids (name order) differ from input order
-    "C4": validate_alphabet(["d", "b", "c", "a"], [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]]),
-    "F2": validate_alphabet(["b", "a"], []),
-    "ZxF2": validate_alphabet(["z", "a", "b"], [["z", "a"], ["z", "b"]]),
-    "Z3": validate_alphabet(["a", "b", "c"], [["a", "b"], ["b", "c"], ["a", "c"]]),
-}
+def _decode(codes, alpha):
+    by_code = alpha.dependence().letters
+    return tuple(by_code[c % len(by_code)] for c in codes)
+
+
+def _foata_codes(word, alpha):
+    """Codes level * width + letter code of a word's Foata steps, from scratch."""
+    code = alpha.dependence().code
+    steps = step_sequence(word, alpha, itemgetter(0), code.__getitem__)
+    return sorted(level * len(code) + code[x] for level, step in enumerate(steps) for x in step)
+
+
+def _top_levels(codes, alpha):
+    width = len(alpha.dependence().code)
+    top = [0] * len(alpha)
+    for c in codes:  # sorted, so the highest level of each generator comes last
+        top[c % width >> 1] = c // width + 1
+    return top
 
 
 @pytest.mark.parametrize("name", sorted(ENGINE_ALPHABETS))
 def test_incremental_form_matches_reduce_word(name):
     alpha = ENGINE_ALPHABETS[name]
+    tables = alpha.dependence()
     letters = [(g, s) for g in alpha.generators for s in (1, -1)]
     rng = random.Random(f"foata-{name}")
     for _ in range(60):
         word = [rng.choice(letters) for _ in range(rng.randint(1, 40))]
-        state = _FoataGeodesic.from_key(alpha, (), (0,) * len(alpha))
+        codes, top = [], [0] * len(alpha)
         for i, letter in enumerate(word):
-            state.extend((letter,))
+            _extend(codes, top, (letter,), tables)
             expected = reduce_word(word[: i + 1], alpha)
-            key = state.key()
-            assert len(state.letters) == len(expected)
-            decoded = _FoataGeodesic.from_key(alpha, key, state.top)
-            assert tuple(decoded.letters) == expected
-            if rng.random() < 0.3:  # continue from the decoded state, as the engine does
-                state = decoded
+            assert _decode(codes, alpha) == expected
+            assert codes == _foata_codes(expected, alpha)
+            assert top == _top_levels(codes, alpha)
+            if rng.random() < 0.3:  # continue from the stored key, as the engine does
+                codes, top = list(tuple(codes)), list(tuple(top))
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_ALPHABETS))
+def test_extend_cancels_exactly_when_append_reduced_does(name):
+    alpha = ENGINE_ALPHABETS[name]
+    tables = alpha.dependence()
+    letters = [(g, s) for g in alpha.generators for s in (1, -1)]
+    rng = random.Random(f"cancel-{name}")
+    cancels = 0
+    for _ in range(60):
+        codes, top, buf = [], [0] * len(alpha), []
+        for _ in range(rng.randint(1, 40)):
+            letter = rng.choice(letters)
+            before = len(codes)
+            _extend(codes, top, (letter,), tables)
+            cancelled = append_reduced(buf, letter, alpha) >= 0
+            assert (len(codes) < before) == cancelled
+            assert len(codes) == len(buf)
+            cancels += cancelled
+    assert cancels
