@@ -8,7 +8,8 @@ budget.
 One reachability engine, ``_reach_one``, decides membership of 1: a forward
 search over pairs (state, canonical geodesic) along power edges u^t v.
 ``membership_one`` runs it on an automaton's transitions, and the knapsack
-solver runs it on the chain of an equation's rows.
+solver runs it on the chain of an equation's rows; each caller supplies only
+its abelian test, and the engine applies both prunes.
 
 The engine keeps its normal form incrementally (Cartier-Foata levels, as in
 Diekert and Rozenberg, The Book of Traces, 1995) and only as integers.  A
@@ -204,21 +205,21 @@ def _reach_one(
     order: Sequence[int],
     alpha: IndependenceAlphabet,
     node_cap: int,
-    feasible: Optional[Feasible] = None,
+    feasible: Feasible,
 ) -> Optional[List[Tuple[int, int]]]:
     """Find a path from ``initial`` to a final state whose label is trivial.
 
     Runs forward in the topological ``order`` over pairs (state, canonical
     key of the geodesic of the prefix read so far), deduplicated at each
-    edge's target.  With ``feasible`` given, a prefix is dropped when its
-    geodesic is longer than every label left to a final state (a geodesic of
-    length L needs at least L further letters to cancel) or when ``feasible``
-    rejects its exponent sums.  The sums of u^t v need no word, so they are
-    tested first for each t, and copies of ``u`` are appended only up to a t
-    that passes.  A prefix is extended from a copy of its key and its top
-    levels (``_extend``), and the sorted codes it ends with are the key.
-    Returns the witness as (edge index, t) pairs, or None.  Raises
-    ResourceExhaustedError past ``node_cap`` stored prefixes.
+    edge's target.  A prefix is dropped when its geodesic is longer than
+    every label left to a final state (exact: a geodesic of length L needs L
+    more letters to cancel) or when ``feasible``, asked once per (state,
+    sums) in a call, rejects its exponent sums.  The sums of u^t v need no
+    word, so they are tested first for each t, and copies of ``u`` are
+    appended only up to a t that passes.  A prefix is extended from a copy
+    of its key and its top levels (``_extend``), and the sorted codes it ends
+    with are the key.  Returns the witness as (edge index, t) pairs, or None.
+    Raises ResourceExhaustedError past ``node_cap`` stored prefixes.
     """
     outgoing: List[List[int]] = [[] for _ in range(n_states)]
     for idx, edge in enumerate(edges):
@@ -247,6 +248,7 @@ def _reach_one(
     ]
     parents[initial][()] = ((0,) * len(index), (0,) * len(alpha), None, -1, 0)
     stored = 1
+    verdicts: Dict[Tuple[int, Tuple[int, ...]], bool] = {}
 
     def witness(state: int, key: Tuple[int, ...]) -> List[Tuple[int, int]]:
         path: List[Tuple[int, int]] = []
@@ -272,7 +274,10 @@ def _reach_one(
                 for t in range(b + 1):
                     if t:
                         sums = tuple(map(add, sums, su))
-                    if feasible is not None and not feasible(dst, sums):
+                    ok = verdicts.get((dst, sums))
+                    if ok is None:
+                        ok = verdicts[dst, sums] = feasible(dst, sums)
+                    if not ok:
                         continue
                     if codes is None:
                         codes, levels = list(key), list(top)
@@ -284,7 +289,7 @@ def _reach_one(
                     else:
                         word, word_top = codes, levels
                     _extend(word, word_top, v, tables)
-                    if feasible is not None and len(word) > room:
+                    if len(word) > room:
                         continue
                     if not word and dst in finals:
                         return witness(q, key) + [(idx, t)]
@@ -303,10 +308,10 @@ def _reach_one(
 def _abelian_windows(
     automaton: WordAutomaton, index: Mapping[str, int], order: Sequence[int]
 ) -> Tuple[List[Tuple[float, ...]], List[Tuple[float, ...]]]:
-    """Per state, a coordinatewise interval hull [lo, hi] of the achievable
-    suffix exponent sums; empty (lo > hi) where no final state is reachable.
-    A prefix can only extend to a trivial word if its negated exponent sums
-    fall in the hull."""
+    """Per state, the window [lo, hi] that the exponent sums of a prefix
+    ending there must lie in to extend to a trivial word: the negated
+    coordinatewise interval hull of the sums of the suffixes to a final
+    state; empty (lo > hi) where no final state is reachable."""
     inf = float("inf")
     lo = [(inf,) * len(index)] * automaton.n_states
     hi = [(-inf,) * len(index)] * automaton.n_states
@@ -319,50 +324,34 @@ def _abelian_windows(
         vec = exponent_sums(label, index)
         lo[src] = tuple(min(a, b + c) for a, b, c in zip(lo[src], vec, lo[dst]))
         hi[src] = tuple(max(a, b + c) for a, b, c in zip(hi[src], vec, hi[dst]))
-    return lo, hi
+    # -sums in [lo, hi]  <=>  sums in [-hi, -lo]
+    return [tuple(map(neg, v)) for v in hi], [tuple(map(neg, v)) for v in lo]
 
 
 def membership_one(
     automaton: WordAutomaton,
     alpha: IndependenceAlphabet,
     node_cap: int = DEFAULT_NODE_CAP,
-    order: Optional[Sequence[int]] = None,
-    prune: bool = True,
 ) -> Optional[List[int]]:
     """Search for a path whose label concatenation is trivial in the group.
 
     Returns the witness as a list of transition indices, or None.  Each
-    transition is one plain edge of the reachability search; with ``prune``
-    it drops prefixes that are too long for every remaining suffix or whose
-    exponent sums leave the interval hull of the suffixes' sums.  ``order``
-    lets callers supply an alternative topological order.
+    transition is one plain edge of the reachability search, whose abelian
+    test is the interval hull of the suffixes' exponent sums.
     """
     for _, label, _ in automaton.transitions:
         _check_letters(label, alpha)
     evidence = check_acyclic(automaton)
     if not evidence.acyclic:
         raise AutomatonError(f"automaton has a cycle through {evidence.cycle}")
-    topo = tuple(order) if order is not None else evidence.order
-    if order is not None:
-        position = {q: i for i, q in enumerate(topo)}
-        if sorted(position) != list(range(automaton.n_states)):
-            raise AutomatonError("supplied order is not a permutation of the states")
-        for src, _, dst in automaton.transitions:
-            if position[src] >= position[dst]:
-                raise AutomatonError("supplied order is not topological")
-    feasible = None
-    if prune:
-        win_lo, win_hi = _abelian_windows(automaton, alpha.positions, topo)
-        # -sums in [lo, hi]  <=>  sums in [-hi, -lo]
-        sums_lo = [tuple(map(neg, hi)) for hi in win_hi]
-        sums_hi = [tuple(map(neg, lo)) for lo in win_lo]
+    sums_lo, sums_hi = _abelian_windows(automaton, alpha.positions, evidence.order)
 
-        def feasible(state: int, sums: Tuple[int, ...]) -> bool:
-            return all(map(le, sums_lo[state], sums)) and all(map(le, sums, sums_hi[state]))
+    def feasible(state: int, sums: Tuple[int, ...]) -> bool:
+        return all(map(le, sums_lo[state], sums)) and all(map(le, sums, sums_hi[state]))
 
     edges = [(src, EMPTY_WORD, 0, label, dst) for src, label, dst in automaton.transitions]
     path = _reach_one(
-        automaton.n_states, automaton.initial, automaton.finals, edges, topo, alpha,
+        automaton.n_states, automaton.initial, automaton.finals, edges, evidence.order, alpha,
         node_cap, feasible,
     )
     return None if path is None else [idx for idx, _ in path]

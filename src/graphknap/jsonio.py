@@ -153,15 +153,27 @@ def semilinear_to_json(s: SemilinearSet) -> dict:
     }
 
 
+def _naturals(value, what: str) -> tuple:
+    if not isinstance(value, list) or not all(
+        isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in value
+    ):
+        raise JsonFormatError(f"{what} must be a list of nonnegative ints, got {value!r}")
+    return tuple(value)
+
+
 def semilinear_from_json(doc: dict) -> SemilinearSet:
     if not isinstance(doc, dict):
         raise JsonFormatError("semilinear document must be an object")
+    _require(doc, "components")
     components = []
-    for entry in _require(doc, "components"):
-        components.append(
-            LinearSet.make(tuple(_require(entry, "base")), [tuple(p) for p in entry.get("periods", [])])
-        )
-    return SemilinearSet(tuple(components))
+    for entry in _objects(doc, "components"):
+        base = _naturals(_require(entry, "base"), "'base'")
+        periods = _require(entry, "periods", list) if "periods" in entry else []
+        components.append((base, [_naturals(p, "a period") for p in periods]))
+    try:
+        return SemilinearSet(tuple(LinearSet.make(base, periods) for base, periods in components))
+    except ValueError as exc:  # period dimensions or mixed dimensions
+        raise JsonFormatError(f"bad semilinear document: {exc}") from exc
 
 
 def outcome_to_json(outcome: SolveOutcome) -> dict:

@@ -5,16 +5,20 @@ Solving starts, on every alphabet class, with one abelian stage: the exact
 solution set of the abelianized equation (hyperplane decompositions) contains
 every solution.  An empty set is unsolvable; on complete graphs the set decides
 exactly; a finite set is decided by checking its points with the word problem
-(``abelian-pin``).  Otherwise non-complete transitive forests get an exact
-sweep up to the magnitude bound of their class when that bound is small
-enough, else iterative deepening, and general alphabets get search only, so
-"unsolvable" is never claimed without a certificate (an abelian one or a
-complete sweep).
+(``abelian-pin``).  Otherwise one search loop, ``_solve_by_search``, asks
+bounded questions: on non-complete transitive forests its first budget is
+the magnitude bound of their class when that bound is small enough (the
+certified sweep), else budgets deepen 1, 2, 4, ..., and general alphabets
+get deepening only, so "unsolvable" is never claimed without a certificate
+(an abelian one or a complete sweep up to a certified bound).
 
-Every bounded decision (the sweep, each deepening step, ``solve_within_bounds``)
-is membership of 1 in the chain automaton v0, then one power edge u_i^t v_i
-(t <= b_i) per cycle, decided by the reachability engine in ``automata`` with
-exact bounded abelian feasibility (per-cycle bounds) as its prune.
+Every bounded decision with pairwise distinct variables (the sweep, each
+deepening step, ``solve_within_bounds``) is membership of 1 in the chain
+automaton v0, then one power edge u_i^t v_i (t <= b_i) per cycle, decided by
+the reachability engine in ``automata`` with exact bounded abelian
+feasibility (per-cycle bounds) as its prune.  Every ``solvable`` outcome is
+built by ``_solvable``, which re-verifies its assignment with the word
+problem.
 
 Enumerating every solution up to a bound (``brute_force_solutions``, subset
 sum, the search for repeated variables, the free-product solution sets) is
@@ -323,6 +327,16 @@ def _full_assignment(eq: ExponentEquation, partial: Dict[str, int]) -> Dict[str,
     return out
 
 
+def _solvable(eq: ExponentEquation, found: Dict[str, int], **fields) -> Optional[SolveOutcome]:
+    """The ``solvable`` outcome for the exponents ``found`` (names left out
+    are 0), or None when the word problem rejects them.  Every ``solvable``
+    outcome is built here; callers whose search is exact assert a result."""
+    assignment = _full_assignment(eq, found)
+    if not verify_solution(eq, assignment):
+        return None
+    return SolveOutcome(SOLVABLE, assignment=assignment, **fields)
+
+
 def brute_force_solutions(
     eq: ExponentEquation, bound: int, limits: SolverLimits = DEFAULT_LIMITS
 ) -> List[Dict[str, int]]:
@@ -450,21 +464,21 @@ def _abelian_stage(eq: ExponentEquation, complete: bool, limits: SolverLimits) -
         )
     if complete:
         witness = min((c.base for c in solutions.components), key=lambda v: (sum(v), v))
-        assignment = _full_assignment(eq, dict(zip(names, witness)))
-        assert verify_solution(eq, assignment)
-        return SolveOutcome(SOLVABLE, assignment=assignment, bound=magnitude(solutions),
+        outcome = _solvable(eq, dict(zip(names, witness)), bound=magnitude(solutions),
                             bound_provenance="abelianization", method="abelian")
+        assert outcome is not None
+        return outcome
     points = _finite_points(solutions, limits)
     if points is None:
         return None
     bound, n = magnitude(solutions), len(points)
     for point in points:
-        assignment = _full_assignment(eq, dict(zip(names, point)))
-        if verify_solution(eq, assignment):
-            return SolveOutcome(
-                SOLVABLE, assignment=assignment, bound=bound, method="abelian-pin",
-                bound_provenance=f"least of {n} abelian solutions to pass the word problem",
-            )
+        outcome = _solvable(
+            eq, dict(zip(names, point)), bound=bound, method="abelian-pin",
+            bound_provenance=f"least of {n} abelian solutions to pass the word problem",
+        )
+        if outcome is not None:
+            return outcome
     return SolveOutcome(UNSOLVABLE, bound=bound, method="abelian-pin",
                         bound_provenance=f"all {n} abelian solutions fail the word problem")
 
@@ -536,17 +550,9 @@ def _decide_bounded_chain(
         for j in range(k + 1)
     ]
 
-    # many prefixes share their sums, so each (state, sums) is decided once
-    memo: Dict[Tuple[int, Tuple[int, ...]], bool] = {}
-
     def feasible(state: int, sums: Tuple[int, ...]) -> bool:
-        found = memo.get((state, sums))
-        if found is None:
-            neg_rest, zs, rest_bounds = rest[state - 1]
-            found = memo[state, sums] = _abelian_feasible(
-                tuple(map(sub, neg_rest, sums)), zs, rest_bounds
-            )
-        return found
+        neg_rest, zs, rest_bounds = rest[state - 1]
+        return _abelian_feasible(tuple(map(sub, neg_rest, sums)), zs, rest_bounds)
 
     edges = [(0, EMPTY_WORD, 0, eq.constants[0], 1)] + [
         (i + 1, eq.cycles[i], bounds[i], eq.constants[i + 1], i + 2) for i in range(k)
@@ -574,74 +580,68 @@ def solve_within_bounds(
     found = _decide_bounded_chain(eq2, [bounds[i] for i in kept], limits)
     if found is None:
         return None
-    assignment = _full_assignment(eq2, found)
-    assert verify_solution(eq, assignment)
-    return assignment
+    outcome = _solvable(eq, found)
+    assert outcome is not None
+    return outcome.assignment
 
 
 def _solve_by_search(
-    eq: ExponentEquation, limits: SolverLimits, certified_bound: Optional[int], method: str
+    eq: ExponentEquation, limits: SolverLimits, bound: Optional[int]
 ) -> SolveOutcome:
-    """Iterative deepening with doubling budgets; an exact Unsolvable needs a
-    completed sweep up to the certified bound."""
-    names = eq.distinct_names
-    r = len(names)
-    target = certified_bound
-    ceiling = limits.search_ceiling
-    budget = 0 if target == 0 else 1
+    """Bounded decisions; ``bound`` is the tameness bound on transitive
+    forests, else None, and certified with pairwise distinct variables.
+
+    When the chain automaton at a certified bound fits ``automaton_states``,
+    one decision at the bound settles the equation (``certified-sweep``).
+    Otherwise budgets deepen 1, 2, 4, ... up to ``search_ceiling``, and
+    completing a certified bound proves ``unsolvable`` (``search``).  A sweep
+    past the node cap goes on as uncertified deepening (``search(after sweep
+    cap)``); any other exhausted cap gives ``unknown``.
+    """
+    target = bound if eq.knapsack_shape else None
+    sweeping = target is not None and (eq.k + 2) * (target + 1) <= limits.automaton_states
+    method, budget = ("certified-sweep", target) if sweeping else ("search", 1)
     last_complete: Optional[int] = None
     while True:
-        if eq.knapsack_shape:
-            try:
+        if not eq.knapsack_shape and (budget + 1) ** len(eq.distinct_names) > limits.enumeration_cap:
+            return SolveOutcome(UNKNOWN, budget=last_complete, method=method)
+        try:
+            if eq.knapsack_shape:
                 found = _decide_bounded_chain(eq, budget, limits)
-            except ResourceExhaustedError:
+            else:
+                found = next(_sweep(eq, budget), None)
+        except ResourceExhaustedError:
+            if not sweeping:
                 return SolveOutcome(UNKNOWN, budget=last_complete, method=method)
-        else:
-            if (budget + 1) ** r > limits.enumeration_cap:
-                return SolveOutcome(UNKNOWN, budget=last_complete, method=method)
-            found = next(_sweep(eq, budget), None)
+            sweeping, target, method, budget = False, None, "search(after sweep cap)", 1
+            continue
         if found is not None:
-            assignment = _full_assignment(eq, found)
-            assert verify_solution(eq, assignment)
-            return SolveOutcome(SOLVABLE, assignment=assignment, budget=budget, method=method)
+            if sweeping:
+                outcome = _solvable(eq, found, bound=target, bound_provenance="tameness bound",
+                                    method=method)
+            else:
+                outcome = _solvable(eq, found, budget=budget, method=method)
+            assert outcome is not None
+            return outcome
+        if sweeping:
+            return SolveOutcome(
+                UNSOLVABLE, bound=target,
+                bound_provenance="tameness bound swept exhaustively (exponents above it "
+                "are never needed for solvability)",
+                method=method,
+            )
         last_complete = budget
         if target is not None and budget >= target:
             return SolveOutcome(
                 UNSOLVABLE, bound=target,
                 bound_provenance="complete sweep up to the certified bound",
-                budget=last_complete, method=method,
+                budget=budget, method=method,
             )
-        if budget >= ceiling:
-            return SolveOutcome(UNKNOWN, budget=last_complete, method=method)
-        nxt = budget * 2 if budget else 1
+        if budget >= limits.search_ceiling:
+            return SolveOutcome(UNKNOWN, budget=budget, method=method)
+        budget = min(2 * budget, limits.search_ceiling)
         if target is not None:
-            nxt = min(nxt, target)
-        budget = min(nxt, ceiling)
-
-
-def _solve_transitive_forest(
-    eq: ExponentEquation, tree: DecompositionNode, limits: SolverLimits
-) -> SolveOutcome:
-    bound = tameness_bound(eq, tree).value
-    k = eq.k
-    if eq.knapsack_shape and (k + 2) * (bound + 1) <= limits.automaton_states:
-        try:
-            found = _decide_bounded_chain(eq, bound, limits)
-        except ResourceExhaustedError:
-            return _solve_by_search(eq, limits, None, method="search(after sweep cap)")
-        if found is None:
-            return SolveOutcome(
-                UNSOLVABLE, bound=bound,
-                bound_provenance="tameness bound swept exhaustively (exponents above it "
-                "are never needed for solvability)",
-                method="certified-sweep",
-            )
-        assignment = _full_assignment(eq, found)
-        assert verify_solution(eq, assignment)
-        return SolveOutcome(SOLVABLE, assignment=assignment, bound=bound,
-                            bound_provenance="tameness bound", method="certified-sweep")
-    certified = bound if eq.knapsack_shape else None
-    return _solve_by_search(eq, limits, certified, method="search")
+            budget = min(budget, target)
 
 
 def solve(eq: ExponentEquation, limits: SolverLimits = DEFAULT_LIMITS) -> SolveOutcome:
@@ -654,9 +654,8 @@ def solve(eq: ExponentEquation, limits: SolverLimits = DEFAULT_LIMITS) -> SolveO
     decided = _abelian_stage(eq2, kind == COMPLETE, limits)
     if decided is not None:
         return decided
-    if tree is not None:
-        return _solve_transitive_forest(eq2, tree, limits)
-    return _solve_by_search(eq2, limits, None, method="search")
+    bound = None if tree is None else tameness_bound(eq2, tree).value
+    return _solve_by_search(eq2, limits, bound)
 
 
 def solve_subset_sum(eq: ExponentEquation, limits: SolverLimits = DEFAULT_LIMITS) -> SolveOutcome:
@@ -666,14 +665,13 @@ def solve_subset_sum(eq: ExponentEquation, limits: SolverLimits = DEFAULT_LIMITS
         raise ResourceExhaustedError(
             f"{len(names)} binary variables exceed the subset-sum cap"
         )
+    fields = dict(bound=1, bound_provenance="exhaustive binary sweep", method="subsetsum")
     found = next(_sweep(eq, 1), None)
-    if found is not None:
-        return SolveOutcome(
-            SOLVABLE, assignment=_full_assignment(eq, found),
-            bound=1, bound_provenance="exhaustive binary sweep", method="subsetsum",
-        )
-    return SolveOutcome(UNSOLVABLE, bound=1,
-                        bound_provenance="exhaustive binary sweep", method="subsetsum")
+    if found is None:
+        return SolveOutcome(UNSOLVABLE, **fields)
+    outcome = _solvable(eq, found, **fields)
+    assert outcome is not None
+    return outcome
 
 
 def integer_valued_rewrite(eq: ExponentEquation) -> Tuple[ExponentEquation, Dict[str, Tuple[str, str]]]:

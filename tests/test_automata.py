@@ -17,7 +17,7 @@ from graphknap import (
     validate_alphabet,
     word_from_strs,
 )
-from graphknap.automata import _extend
+from graphknap.automata import _extend, _reach_one
 from graphknap.group import append_reduced, reduce_word
 from graphknap.trace import step_sequence
 
@@ -131,27 +131,14 @@ def test_membership_matches_brute_randomized():
             assert (membership_one(aut, alpha) is not None) == membership_one_brute(aut, alpha)
 
 
-def test_membership_independent_of_topological_order():
-    rng = random.Random(99)
-    for _ in range(40):
-        aut = _random_acyclic(rng, rng.randint(2, 6), rng.randint(1, 7), 3)
-        default = membership_one(aut, F2) is not None
-        order = list(check_acyclic(aut).order)
-        # a different valid topological order: stable-sort sources last where possible
-        alt = sorted(order, key=lambda q: (sum(1 for s, _, d in aut.transitions if d == q), order.index(q)))
-        pos = {q: i for i, q in enumerate(alt)}
-        if all(pos[s] < pos[d] for s, _, d in aut.transitions):
-            assert (membership_one(aut, F2, order=alt) is not None) == default
-
-
 def test_membership_prune_does_not_change_answers():
+    # membership_one always prunes by length and by abelian windows; the
+    # unpruned path enumeration is the reference
     for name, alpha in SEARCH_ALPHABETS:
         rng = random.Random(4321 if name == "F2" else f"prune-{name}")
         for _ in range(60):
             aut = _random_acyclic(rng, rng.randint(2, 6), rng.randint(1, 7), 3, alpha)
-            assert (membership_one(aut, alpha, prune=True) is not None) == (
-                membership_one(aut, alpha, prune=False) is not None
-            )
+            assert (membership_one(aut, alpha) is not None) == membership_one_brute(aut, alpha)
 
 
 def test_membership_rejects_foreign_letters():
@@ -173,9 +160,25 @@ def test_membership_brute_long_chain(n_states):
 
 
 def test_membership_node_cap():
-    aut = _random_acyclic(random.Random(7), 6, 7, 3)
+    # the prefix "a" passes both prunes, so it is a second stored prefix
+    aut = WordAutomaton(3, 0, frozenset({2}), ((0, W("a"), 1), (1, W("a^-1"), 2)))
     with pytest.raises(ResourceExhaustedError):
-        membership_one(aut, F2, node_cap=1, prune=False)
+        membership_one(aut, F2, node_cap=1)
+    assert membership_one(aut, F2, node_cap=2) == [0, 1]
+
+
+def test_engine_asks_feasible_once_per_state_and_sums():
+    # "a b" and "b a" are two stored prefixes at state 1 with equal sums, so
+    # every (state, sums) after state 1 is reached twice
+    edges = [(0, (), 0, W("a b"), 1), (0, (), 0, W("b a"), 1), (1, W("a"), 3, W("b^-1"), 2)]
+    asked = []
+
+    def feasible(state, sums):
+        asked.append((state, sums))
+        return True
+
+    assert _reach_one(3, 0, frozenset({2}), edges, range(3), F2, 100, feasible) is None
+    assert len(asked) == len(set(asked)) == 1 + 4
 
 
 def test_membership_witness_label_is_trivial():

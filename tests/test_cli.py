@@ -252,3 +252,78 @@ def test_output_file_written(capsys, tmp_path, f2_file):
     code, payload = _run(capsys, ["-o", str(out), "classify", "-i", f2_file])
     assert code == 0
     assert json.loads(out.read_text()) == payload
+
+
+# Junk-value sweep: every JSON path of each document (the root included) is
+# replaced by each junk value in turn.
+JUNK = (None, True, -1, 0, 1.5, "", "zz", "a^-1^-1", [], [[]], {}, {"x": 1})
+FOREST = {"generators": ["a", "b", "c"], "edges": [["a", "b"]]}
+INSTANCE = {
+    "alphabet": FOREST,
+    "constants": [[], ["c"], ["c^-1", "b^-1"]],
+    "cycles": [["a"], ["b"]],
+    "variables": ["x", "y"],
+    "mode": "knapsack",
+}
+AUTOMATON = {
+    "states": 3, "initial": 0, "finals": [2],
+    "transitions": [{"from": 0, "to": 1, "label": ["a"]}, {"from": 1, "to": 2, "label": ["a^-1"]}],
+    "loops": [{"state": 1, "label": ["b"]}],
+}
+
+
+def _json_paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        children = ()
+    for key, value in children:
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    copied = json.loads(json.dumps(doc))
+    parent = copied
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return copied
+
+
+@pytest.mark.parametrize("command", ["solve", "bound", "oracle", "automaton", "alphabet"])
+def test_junk_documents_give_one_error_line(capsys, tmp_path, command):
+    inst, aut, alpha = tmp_path / "inst.json", tmp_path / "aut.json", tmp_path / "alpha.json"
+    member = ["automaton", "member", "-i", str(aut), "--alphabet", str(alpha), "--budget", "1"]
+    argv = {
+        "solve": ["solve", "-i", str(inst)],
+        "bound": ["bound", "-i", str(inst)],
+        "oracle": ["oracle", "brute", "-i", str(inst), "--bound", "2"],
+        "automaton": member,
+        "alphabet": member,
+    }[command]
+    target, mutated = {"automaton": (aut, AUTOMATON), "alphabet": (alpha, FOREST)}.get(
+        command, (inst, INSTANCE))
+    for path, doc in ((inst, INSTANCE), (aut, AUTOMATON), (alpha, FOREST)):
+        path.write_text(json.dumps(doc))
+    errors = 0
+    for json_path in _json_paths(mutated):
+        for junk in JUNK:
+            target.write_text(json.dumps(_replaced(mutated, json_path, junk)))
+            code = run(argv)
+            captured = capsys.readouterr()
+            where = (json_path, junk)
+            if code == 1:
+                errors += 1
+                assert captured.out == "", where
+                lines = captured.err.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), where
+            else:
+                # the junk happened to leave a valid document
+                assert code in (0, 2) and captured.err == "", where
+                json.loads(captured.out)
+    assert errors > 0

@@ -144,6 +144,27 @@ def test_semilinear_roundtrip():
     assert doc == {"components": [{"base": [1, 0], "periods": [[0, 2], [1, 1]]}]}
 
 
+@pytest.mark.parametrize("doc", [
+    [5],
+    {},
+    {"components": 5},
+    {"components": [5]},
+    {"components": [{"periods": []}]},
+    {"components": [{"base": 3}]},
+    {"components": [{"base": [-1]}]},
+    {"components": [{"base": [True]}]},
+    {"components": [{"base": ["1"]}]},
+    {"components": [{"base": [1], "periods": 7}]},
+    {"components": [{"base": [1], "periods": [7]}]},
+    {"components": [{"base": [1], "periods": [[-1]]}]},
+    {"components": [{"base": [1], "periods": [[1, 2]]}]},
+    {"components": [{"base": [1]}, {"base": [1, 2]}]},
+])
+def test_semilinear_bad_documents(doc):
+    with pytest.raises(JsonFormatError):
+        semilinear_from_json(doc)
+
+
 def test_tree_to_json_shapes():
     alpha = validate_alphabet(["a", "b", "c"], [["a", "b"], ["b", "c"]])
     doc = tree_to_json(decompose(alpha))

@@ -251,6 +251,103 @@ def test_solvable_outcomes_reverify_everywhere():
                 assert not brute_force_solutions(eq, small)
 
 
+# One instance per solver regime: (solver, alphabet, constants, cycles,
+# variables, limits) -> the outcome as (status, method, bound,
+# bound_provenance, budget, assignment).
+SWEPT = "tameness bound swept exhaustively (exponents above it are never needed for solvability)"
+REGIMES = {
+    "abelian": (solve, Z2, ["a b", "b^-1 b^-1", ""], ["a^-1", "b"], ["x", "y"], SolverLimits(),
+                ("solvable", "abelian", 1, "abelianization", None, {"x": 1, "y": 1})),
+    "abelian-precheck": (
+        solve, F2, ["a", ""], ["a"], ["x"], SolverLimits(),
+        ("unsolvable", "abelian-precheck", 0,
+         "abelianized equation has no solution over the naturals", None, None)),
+    "abelian-pin-solvable": (
+        solve, F2, ["b", "a^-1 a^-1 b^-1"], ["a"], ["x"], SolverLimits(),
+        ("solvable", "abelian-pin", 2, "least of 1 abelian solutions to pass the word problem",
+         None, {"x": 2})),
+    "abelian-pin-unsolvable": (
+        solve, F2, ["", "b a^-1 a^-1 b^-1"], ["a"], ["x"], SolverLimits(),
+        ("unsolvable", "abelian-pin", 2, "all 1 abelian solutions fail the word problem",
+         None, None)),
+    "certified-sweep-solvable": (
+        solve, F2, ["", "", "b^-1", ""], ["a", "b", "a^-1"], ["x", "y", "z"], SolverLimits(),
+        ("solvable", "certified-sweep", 84, "tameness bound", None, {"x": 0, "y": 1, "z": 0})),
+    "certified-sweep-unsolvable": (
+        solve, F2, ["a b a^-1 b^-1", "", ""], ["a", "a^-1"], ["x", "y"], SolverLimits(),
+        ("unsolvable", "certified-sweep", 117, SWEPT, None, None)),
+    # the chain automaton at the bound is too large, so deepening reaches it
+    "search-certified-unsolvable": (
+        solve, F2, ["a b a^-1 b^-1", "", ""], ["a", "a^-1"], ["x", "y"],
+        SolverLimits(automaton_states=10),
+        ("unsolvable", "search", 117, "complete sweep up to the certified bound", 117, None)),
+    "search-solvable": (
+        solve, P4, ["", "", "c^-1", ""], ["a", "c", "a^-1"], ["x", "y", "z"],
+        SolverLimits(search_ceiling=8),
+        ("solvable", "search", None, None, 1, {"x": 0, "y": 1, "z": 0})),
+    "search-unknown": (
+        solve, P4, ["a c a^-1 c^-1", "", ""], ["a", "a^-1"], ["x", "y"],
+        SolverLimits(search_ceiling=8),
+        ("unknown", "search", None, None, 8, None)),
+    "search-repeated-solvable": (
+        solve, F2, ["b", "b^-1", ""], ["a", "a^-1"], ["x", "x"], SolverLimits(search_ceiling=8),
+        ("solvable", "search", None, None, 1, {"x": 0})),
+    "search-enumeration-cap": (
+        solve, F2, ["b", "b^-1", ""], ["a", "a^-1"], ["x", "x"], SolverLimits(enumeration_cap=1),
+        ("unknown", "search", None, None, None, None)),
+    "search-after-sweep-cap-solvable": (
+        solve, F2, ["", "", "b^-1", ""], ["a", "b", "a^-1"], ["x", "y", "z"],
+        SolverLimits(node_cap=6),
+        ("solvable", "search(after sweep cap)", None, None, 1, {"x": 0, "y": 1, "z": 0})),
+    "search-after-sweep-cap-unknown": (
+        solve, F2, ["a b a^-1 b^-1", "", ""], ["a", "a^-1"], ["x", "y"], SolverLimits(node_cap=3),
+        ("unknown", "search(after sweep cap)", None, None, 4, None)),
+    "search-after-sweep-cap-nothing-completed": (
+        solve, F2, ["", "", "b^-1", ""], ["a", "b", "a^-1"], ["x", "y", "z"],
+        SolverLimits(node_cap=2),
+        ("unknown", "search(after sweep cap)", None, None, None, None)),
+    "subsetsum-solvable": (
+        solve_subset_sum, F2, ["", "", "b^-1 a^-1"], ["a", "b"], ["x", "y"], SolverLimits(),
+        ("solvable", "subsetsum", 1, "exhaustive binary sweep", None, {"x": 1, "y": 1})),
+    "subsetsum-unsolvable": (
+        solve_subset_sum, F2, ["", "", "a^-1 b^-1"], ["a", "b"], ["x", "y"], SolverLimits(),
+        ("unsolvable", "subsetsum", 1, "exhaustive binary sweep", None, None)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGIMES))
+def test_regime_outcome_fields(name):
+    solver, alpha, constants, cycles, variables, limits, expected = REGIMES[name]
+    out = solver(eq_of(alpha, constants, cycles, variables), limits)
+    assert (out.status, out.method, out.bound, out.bound_provenance, out.budget,
+            out.assignment) == expected
+
+
+def test_subset_sum_assignments_reverify():
+    rng = random.Random(2718)
+    solvable = 0
+    for alpha in [F2, Z2, P4]:
+        for _ in range(40):
+            eq = _random_equation(rng, alpha, rng.randint(1, 4), 3)
+            out = solve_subset_sum(eq)
+            if out.status == "solvable":
+                solvable += 1
+                assert verify_solution(eq, out.assignment)
+                assert set(out.assignment.values()) <= {0, 1}
+            else:
+                assert out.status == "unsolvable" and not brute_force_solutions(eq, 1)
+    assert solvable > 10
+
+
+def test_subset_sum_rejects_an_unverified_sweep(monkeypatch):
+    import graphknap.knapsack as knapsack
+
+    eq = eq_of(F2, ["", "", "a^-1 b^-1"], ["a", "b"], ["x", "y"])
+    monkeypatch.setattr(knapsack, "_sweep", lambda eq, budget: iter([{"x": 1, "y": 1}]))
+    with pytest.raises(AssertionError):
+        solve_subset_sum(eq)
+
+
 def test_general_alphabet_never_unsolvable():
     # no magnitude bound exists for general alphabets; unsolvable may only be
     # claimed for the degenerate no-variable instances or by the abelian
